@@ -48,6 +48,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
+  pba-run help | --help
   pba-run list
   pba-run all [--scale smoke|default|full] [--out DIR] [--trace FILE.jsonl]
   pba-run <experiment-id e01..e25> [--scale ...] [--out DIR] [--trace FILE.jsonl]
@@ -94,6 +95,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             for e in all_experiments() {
                 println!("{}  {}", e.id(), e.title());
             }
+            Ok(ExitCode::SUCCESS)
+        }
+        "help" | "--help" | "-h" => {
+            println!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
         "protocols" => {
@@ -151,7 +156,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 /// Error text for an unrecognized first argument: name the valid range
 /// and, when something known is close, suggest it.
 fn unknown_command_message(id: &str) -> String {
-    const COMMANDS: [&str; 10] = [
+    const COMMANDS: [&str; 11] = [
+        "help",
         "list",
         "all",
         "protocol",

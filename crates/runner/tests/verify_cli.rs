@@ -90,6 +90,24 @@ fn verify_unknown_claim_gets_did_you_mean() {
     );
 }
 
+/// `--help` and `help` are requests, not mistakes: usage on stdout, exit 0.
+#[test]
+fn help_prints_usage_and_succeeds() {
+    for flag in ["--help", "help"] {
+        let out = pba_run(&[flag]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{flag} exited nonzero:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.starts_with("usage:") && stdout.contains("pba-run verify"),
+            "{flag}: expected the usage text on stdout:\n{stdout}"
+        );
+    }
+}
+
 /// The two family oracles are wired into the same did-you-mean path as
 /// the originals: a near-miss id must suggest the registered spelling.
 #[test]

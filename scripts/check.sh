@@ -21,6 +21,9 @@ run cargo clippy --workspace --all-targets -- -D warnings \
 run cargo build --release
 run cargo test -q --workspace
 run cargo test -q --test chaos --test golden_loads
+# The benchmark package is its own workspace; its tiny self-test checks
+# every BENCHMARK.json metric is printed with its unit.
+run cargo test -q --manifest-path perfbench/Cargo.toml
 # Differential fuzzer: fixed-seed corpus + explorer, serial vs pool
 # bit-identity with the in-engine invariant checker armed. The corpus
 # replay covers the (k,d)-grid and retry-cap axes of the protocol
