@@ -2,7 +2,7 @@
 //!
 //! In the papers' model the *bins* are independent agents: they see their
 //! arrivals, decide how many to accept, and answer. The in-process engine
-//! runs that decision in [`crate::exec::grant_range`] over all bins;
+//! runs that decision at the bins the round's requests reached;
 //! cluster mode (`pba-cluster`) instead ships each round's arrival counts
 //! to shard processes owning disjoint bin ranges and collects their grant
 //! replies. This trait is the cut point: when a delegate is attached

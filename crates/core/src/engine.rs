@@ -18,6 +18,13 @@
 //!   [`crate::faults`]), which is what lets the chunked kernel reproduce
 //!   the faulty path bit-for-bit at any lane count.
 //!
+//! * Per-bin work is proportional to the bins the round touched, not to
+//!   `n`: grants, granted slots, received messages and the
+//!   `loads_before` snapshot are computed by one ascending walk over a
+//!   touched-bin bitmap, and the max load and idle-bin underload come
+//!   from a bins-per-load histogram updated by the commits themselves
+//!   (see [`crate::sparse`]).
+//!
 //! `SimState` owns the per-chunk [`LaneScratch`] arenas and all workhorse
 //! buffers, reused across rounds: after the first (warm-up) round, a
 //! steady-state round performs **zero heap allocations** on either
@@ -28,8 +35,9 @@ use pba_par::{as_atomic_u32, DisjointClaims, DisjointIndexMut};
 use crate::delegate::GrantDelegate;
 use crate::error::{CoreError, Result};
 use crate::exec::{
-    gather_chunk, grant_range, resolve_chunk, Backend, ChunkPlan, Faulty, GatherShared,
-    LaneScratch, NoFaults, ResolveShared, Tuning,
+    bin_decision, gather_chunk, grant_range, resolve_chunk, touched_pass, Backend, ChunkPlan,
+    Faulty, GatherShared, LaneScratch, NoFaults, ResolveShared, TouchedShared, TouchedTally,
+    Tuning,
 };
 use crate::faults::{FaultPlan, FaultRecord, FaultSession, FaultStats};
 use crate::messages::{MessageLedger, MessageStats, MessageTracking};
@@ -37,6 +45,7 @@ use crate::metrics::{MetricsSink, Phase, RoundTimer, RunMeta};
 use crate::model::ProblemSpec;
 use crate::protocol::{RoundContext, RoundProtocol};
 use crate::rng::RoundStreams;
+use crate::sparse::{LoadHistogram, TouchedBins, BLOCK_BINS};
 use crate::trace::RoundRecord;
 use crate::validate::ValidatorState;
 
@@ -78,14 +87,20 @@ pub(crate) struct SimState<P: RoundProtocol> {
     next_active: Vec<u32>,
     /// Bins with nonzero global arrival counts this round, each exactly
     /// once — the round-level union of the arenas' touched lists. Drives
-    /// the sparse zeroing of `counts` at the next round's scan.
+    /// the sparse zeroing of `counts`, `accept` and `touched` at the next
+    /// round's scan.
     hot_bins: Vec<u32>,
+    /// `hot_bins` as a bitmap, for the ascending per-bin walk.
+    touched: TouchedBins,
+    /// Bins per load, updated from each round's commits.
+    histogram: LoadHistogram,
     counts: Vec<u32>,
+    /// Clamped grants (`≤ counts`), so also the slots each bin granted;
+    /// 0 off this round's hot bins.
     accept: Vec<u32>,
-    want: Vec<u32>,
-    taken: Vec<u32>,
-    /// Load snapshot at round start, populated only for protocols with
-    /// `NEEDS_COMMIT_CHOICE` (GREEDY-style height information).
+    /// Load snapshot at round start, for protocols with
+    /// `NEEDS_COMMIT_CHOICE` only (GREEDY-style height information);
+    /// current at the round's touched bins, stale elsewhere.
     loads_before: Vec<u32>,
 }
 
@@ -117,11 +132,15 @@ impl<P: RoundProtocol> SimState<P> {
             claims: DisjointClaims::new(m as usize),
             next_active: Vec::with_capacity(m as usize),
             hot_bins: Vec::with_capacity(n),
+            touched: TouchedBins::new(n),
+            histogram: LoadHistogram::new(spec.bins()),
             counts: vec![0; n],
             accept: vec![0; n],
-            want: vec![0; n],
-            taken: vec![0; n],
-            loads_before: Vec::new(),
+            loads_before: if P::NEEDS_COMMIT_CHOICE {
+                vec![0; n]
+            } else {
+                Vec::new()
+            },
         }
     }
 
@@ -130,20 +149,29 @@ impl<P: RoundProtocol> SimState<P> {
         self.faults.as_ref().map(FaultSession::stats)
     }
 
-    /// Crashed bins accept nothing and want nothing: zero their grants and
-    /// back their (always-unfilled) demand out of the underload counters.
-    /// No-op without faults; called after the grant phase.
-    fn apply_crash_grants(&mut self, underloaded: &mut u32, unfilled: &mut u64) {
+    /// Crashed bins want nothing: back their (always-unfilled) demand out
+    /// of the underload counters, recomputing the pure decision as
+    /// [`crate::exec::grant_slice`] does. Admission redraws or drops every
+    /// request addressed to a crashed bin, so it has no arrivals and its
+    /// accept is already 0. No-op without faults; called after the grant
+    /// phase.
+    fn apply_crash_grants(
+        &self,
+        protocol: &P,
+        ctx: &RoundContext,
+        underloaded: &mut u32,
+        unfilled: &mut u64,
+    ) {
         if let Some(session) = self.faults.as_ref() {
             for &bin in session.crashed_bins() {
                 let b = bin as usize;
                 let arrivals = self.counts[b];
-                if arrivals < self.want[b] {
+                debug_assert_eq!(arrivals, 0, "crashed bin {bin} received requests");
+                let (_, want) = bin_decision(protocol, ctx, bin, self.loads[b], arrivals);
+                if arrivals < want {
                     *underloaded -= 1;
-                    *unfilled -= (self.want[b] - arrivals) as u64;
+                    *unfilled -= u64::from(want - arrivals);
                 }
-                self.accept[b] = 0;
-                self.want[b] = 0;
             }
         }
     }
@@ -152,14 +180,6 @@ impl<P: RoundProtocol> SimState<P> {
     /// return the round's fault record, if any fault fired.
     fn end_fault_round(&mut self, round: u32) -> Option<FaultRecord> {
         self.faults.as_mut().and_then(|s| s.end_round(round))
-    }
-
-    /// Snapshot loads for `pick_commit`'s `load_before` field.
-    fn snapshot_loads(&mut self) {
-        if P::NEEDS_COMMIT_CHOICE {
-            self.loads_before.clear();
-            self.loads_before.extend_from_slice(&self.loads);
-        }
     }
 
     pub fn context(&self, round: u32) -> RoundContext {
@@ -177,8 +197,12 @@ impl<P: RoundProtocol> SimState<P> {
     /// Rounds whose active set is below the configured `par_cutoff` (or
     /// whose pool has a single lane) run on the serial backend — which is
     /// the same kernel with exactly one chunk, so the fallback cannot
-    /// change results. Only the exclusive scan over per-chunk bin counts
-    /// (`O(chunks·n)`) and the final merge (`O(m')`) are serial.
+    /// change results. Only the exclusive scan over the chunks' touched
+    /// bins (`O(Σ distinct bins per chunk)`), the histogram fold
+    /// (`O(chunks · load spread)`) and the final merge (`O(m')`) are
+    /// serial. Per-bin work is `O(touched bins)` unless the protocol has
+    /// no [`RoundProtocol::idle_want`] this round, which costs one
+    /// `O(n)` grant pass (see DESIGN.md §18).
     pub fn round(
         &mut self,
         protocol: &P,
@@ -197,7 +221,6 @@ impl<P: RoundProtocol> SimState<P> {
                 self.active.len() as u64,
             );
         }
-        self.snapshot_loads();
         // Resolve the chunk geometry for this round from the live
         // active-set size and the backend's lanes (auto tuning shrinks
         // plans as the active set drains; fixed tuning pins one plan).
@@ -279,10 +302,13 @@ impl<P: RoundProtocol> SimState<P> {
         // Only touched bins carry arrivals, so the scan walks the arenas'
         // touched lists instead of all `chunks × n` slots, and `counts`
         // is zeroed through last round's hot list instead of a dense
-        // fill. Untouched bins keep a correct 0 in both arrays.
+        // fill. Untouched bins keep a correct 0 in both arrays. Last
+        // round's grants and touched set are cleared the same way.
         for &b in &self.hot_bins {
             self.counts[b as usize] = 0;
+            self.accept[b as usize] = 0;
         }
+        self.touched.clear(&self.hot_bins);
         self.hot_bins.clear();
         for arena in self.scratch[..nchunks].iter_mut() {
             for &b in &arena.touched {
@@ -293,6 +319,7 @@ impl<P: RoundProtocol> SimState<P> {
                     // First chunk to reach this bin this round (chunk
                     // arrival counts are nonzero by construction).
                     self.hot_bins.push(b);
+                    self.touched.insert(b);
                 }
                 arena.counts[bu] = total;
                 self.counts[bu] = total + c;
@@ -304,33 +331,27 @@ impl<P: RoundProtocol> SimState<P> {
 
         // --- Phase 3: grants — local, or delegated to an external
         // authority (the cluster orchestrator's request/reply wave).
-        let (underloaded_bins, unfilled_want) = match delegate.as_deref_mut() {
+        let (underloaded_bins, unfilled_want, granted) = match delegate.as_deref_mut() {
             Some(d) => {
-                // The delegate fills only the bins it grants; every other
-                // bin (no arrivals, or crashed) must read 0.
-                self.accept.fill(0);
+                // The delegate writes only the bins it grants; `accept` is
+                // already 0 everywhere (zeroed through last round's hot
+                // list).
                 let crashed = self
                     .faults
                     .as_ref()
                     .map_or(&[][..], FaultSession::crashed_bins);
-                d.round_grants(
+                let (ub, uw) = d.round_grants(
                     &ctx,
                     &self.counts,
                     &self.hot_bins,
                     crashed,
                     &mut self.accept,
-                )?
+                )?;
+                let t = self.touched_pass(protocol, &ctx, eff, plan, false);
+                (ub, uw, t.granted)
             }
-            None => {
-                let (mut ub, mut uw) = self.grants(protocol, &ctx, eff, plan);
-                self.apply_crash_grants(&mut ub, &mut uw);
-                (ub, uw)
-            }
+            None => self.grants(protocol, &ctx, eff, plan),
         };
-        // Granted = first min(arrivals, grant) arrivals per bin.
-        for ((t, &a), &c) in self.taken.iter_mut().zip(&self.accept).zip(&self.counts) {
-            *t = a.min(c);
-        }
         if let Some(t) = timer.as_mut() {
             t.lap(Phase::Grant);
         }
@@ -345,6 +366,7 @@ impl<P: RoundProtocol> SimState<P> {
                 accept: &self.accept,
                 loads_before: &self.loads_before,
                 loads: as_atomic_u32(&mut self.loads),
+                load_base: self.histogram.base(),
                 assignment: self
                     .assignment
                     .as_mut()
@@ -372,17 +394,28 @@ impl<P: RoundProtocol> SimState<P> {
             committed += arena.committed;
             wasted += arena.wasted;
             commit_msgs += arena.commit_msgs;
+            self.histogram.apply(&arena.lifts);
         }
+        self.histogram.settle();
+        self.placed += committed;
+        std::mem::swap(&mut self.active, &mut self.next_active);
 
-        let record = self.finish_round(
-            &ctx,
+        let record = RoundRecord {
+            round: ctx.round,
+            active_before: ctx.active,
             requests,
+            granted,
             committed,
-            wasted,
-            commit_msgs,
+            wasted_grants: wasted,
             underloaded_bins,
             unfilled_want,
-        );
+            max_load: self.histogram.max_load(),
+            messages: MessageStats {
+                requests,
+                responses: requests,
+                commits: commit_msgs,
+            },
+        };
         let fault_record = self.end_fault_round(round);
         if let Some(v) = self.validator.as_mut() {
             let crashed = self
@@ -396,7 +429,7 @@ impl<P: RoundProtocol> SimState<P> {
                 &self.loads,
                 self.assignment.as_deref(),
                 &self.active,
-                &self.taken,
+                &self.accept,
                 crashed,
                 self.placed,
             )?;
@@ -416,77 +449,93 @@ impl<P: RoundProtocol> SimState<P> {
         Ok(record)
     }
 
-    /// Grant phase: serial below the cutoff (or on the serial backend),
-    /// chunked `par_reduce` over bins otherwise. Both paths run
-    /// [`grant_range`].
+    /// Local grant phase: `(underloaded bins, unfilled want, granted)`.
+    ///
+    /// With an idle want for every present load, one touched-bin pass
+    /// decides the grants, and the histogram's all-idle underload is
+    /// corrected at the touched bins. Without, a full [`grant_range`]
+    /// pass over all `n` bins decides them first.
     fn grants(
         &mut self,
         protocol: &P,
         ctx: &RoundContext,
         backend: Backend<'_>,
         plan: ChunkPlan,
-    ) -> (u32, u64) {
-        let n = self.spec.bins() as usize;
-        let counts = &self.counts;
-        let loads = &self.loads;
-        let accept = DisjointIndexMut::new(&mut self.accept);
-        let want = DisjointIndexMut::new(&mut self.want);
-        match backend.pool() {
-            Some(pool) if n >= plan.par_cutoff => pba_par::par_reduce(
-                pool,
-                n,
-                plan.min_chunk,
-                || (0u32, 0u64),
-                |acc, r| {
-                    let (ub, uw) = grant_range(protocol, ctx, r, counts, loads, &accept, &want);
-                    (acc.0 + ub, acc.1 + uw)
-                },
-                |a, b| (a.0 + b.0, a.1 + b.1),
-            ),
-            _ => grant_range(protocol, ctx, 0..n, counts, loads, &accept, &want),
-        }
+    ) -> (u32, u64, u64) {
+        let (mut ub, mut uw, granted) = match self.histogram.idle_underload(protocol, ctx) {
+            Some((idle_ub, idle_uw)) => {
+                let t = self.touched_pass(protocol, ctx, backend, plan, true);
+                (
+                    idle_ub - t.idle_underloaded + t.underloaded,
+                    idle_uw - t.idle_unfilled + t.unfilled,
+                    t.granted,
+                )
+            }
+            None => {
+                let n = self.spec.bins() as usize;
+                let counts = &self.counts;
+                let loads = &self.loads;
+                let accept = DisjointIndexMut::new(&mut self.accept);
+                let (ub, uw) = match backend.pool() {
+                    Some(pool) if n >= plan.par_cutoff => pba_par::par_reduce(
+                        pool,
+                        n,
+                        plan.min_chunk,
+                        || (0u32, 0u64),
+                        |acc, r| {
+                            let (ub, uw) = grant_range(protocol, ctx, r, counts, loads, &accept);
+                            (acc.0 + ub, acc.1 + uw)
+                        },
+                        |a, b| (a.0 + b.0, a.1 + b.1),
+                    ),
+                    _ => grant_range(protocol, ctx, 0..n, counts, loads, &accept),
+                };
+                let t = self.touched_pass(protocol, ctx, backend, plan, false);
+                (ub, uw, t.granted)
+            }
+        };
+        self.apply_crash_grants(protocol, ctx, &mut ub, &mut uw);
+        (ub, uw, granted)
     }
 
-    /// Shared bookkeeping after resolution: ledger updates, active-set
-    /// swap, round record.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_round(
+    /// Run [`touched_pass`] over the round's touched bins: serial, or
+    /// split by bitmap block over the pool when enough bins are touched.
+    /// `decide` makes the pass compute the grants itself.
+    fn touched_pass(
         &mut self,
+        protocol: &P,
         ctx: &RoundContext,
-        requests: u64,
-        committed: u64,
-        wasted: u64,
-        commit_msgs: u64,
-        underloaded_bins: u32,
-        unfilled_want: u64,
-    ) -> RoundRecord {
-        let granted: u64 = self.taken.iter().map(|&t| t as u64).sum();
-        if let Some(recv) = self.ledger.per_bin_received.as_mut() {
-            for (bin, r) in recv.iter_mut().enumerate() {
-                // Requests arriving + commit notifications from every ball
-                // this bin accepted.
-                *r += self.counts[bin] as u64 + self.taken[bin] as u64;
-            }
-        }
-        self.placed += committed;
-        std::mem::swap(&mut self.active, &mut self.next_active);
-        let max_load = self.loads.iter().copied().max().unwrap_or(0);
-
-        RoundRecord {
-            round: ctx.round,
-            active_before: ctx.active,
-            requests,
-            granted,
-            committed,
-            wasted_grants: wasted,
-            underloaded_bins,
-            unfilled_want,
-            max_load,
-            messages: MessageStats {
-                requests,
-                responses: requests,
-                commits: commit_msgs,
-            },
+        backend: Backend<'_>,
+        plan: ChunkPlan,
+        decide: bool,
+    ) -> TouchedTally {
+        let shared = TouchedShared {
+            protocol,
+            ctx,
+            touched: &self.touched,
+            counts: &self.counts,
+            loads: &self.loads,
+            idle: decide.then(|| (self.histogram.idle_wants(), self.histogram.base())),
+            accept: DisjointIndexMut::new(&mut self.accept),
+            received: self
+                .ledger
+                .per_bin_received
+                .as_mut()
+                .map(|r| DisjointIndexMut::new(r.as_mut_slice())),
+            loads_before: P::NEEDS_COMMIT_CHOICE
+                .then(|| DisjointIndexMut::new(self.loads_before.as_mut_slice())),
+        };
+        let blocks = self.touched.blocks();
+        match backend.pool() {
+            Some(pool) if self.hot_bins.len() >= plan.par_cutoff => pba_par::par_reduce(
+                pool,
+                blocks,
+                (plan.min_chunk / BLOCK_BINS).max(1),
+                TouchedTally::default,
+                |acc, r| acc.merge(touched_pass(&shared, r)),
+                TouchedTally::merge,
+            ),
+            _ => touched_pass(&shared, 0..blocks),
         }
     }
 }

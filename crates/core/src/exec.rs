@@ -15,19 +15,22 @@
 //!   ball through the fault session's admit/deliver filters.
 //!
 //! ```text
-//!             ┌────────────────────── one round ──────────────────────┐
-//!   chunk 0 → │ gather+count │     │ grant  │ │ resolve+commit │      │
-//!   chunk 1 → │ gather+count │ scan│ grant  │ │ resolve+commit │ merge│
-//!   chunk k → │ gather+count │     │ grant  │ │ resolve+commit │      │
-//!             └───────────────────────────────────────────────────────┘
-//!               parallel       serial  parallel   parallel       serial
-//!               (LaneScratch)  sparse  (bins)     (LaneScratch)  O(m')
+//!             ┌─────────────────────── one round ───────────────────────┐
+//!   chunk 0 → │ gather+count │     │ grant   │ │ resolve+commit │      │
+//!   chunk 1 → │ gather+count │ scan│ grant   │ │ resolve+commit │ merge│
+//!   chunk k → │ gather+count │     │ grant   │ │ resolve+commit │      │
+//!             └─────────────────────────────────────────────────────────┘
+//!               parallel       serial  parallel    parallel       serial
+//!               (LaneScratch)  sparse  (touched    (LaneScratch)  O(m')
+//!                                      bins)
 //!
-//! The scan and the per-chunk count zeroing are *sparse*: each arena
-//! tracks the bins it touched this round, so both cost `O(Σ distinct
-//! bins touched)` instead of `O(chunks · n)` — the asymmetry that used to
-//! make chunked rounds pay `chunks×` the serial path's per-round memory
-//! traffic on large bin counts.
+//! Every per-bin pass is *sparse*. Each arena tracks the bins it touched
+//! this round, so the scan and the per-chunk count zeroing cost
+//! `O(Σ distinct bins touched)` instead of `O(chunks · n)`. The grant
+//! and its bookkeeping ([`touched_pass`]) walk only the round's touched
+//! bins, and the underload of idle bins comes from a bins-per-load
+//! histogram (see [`crate::sparse`]). Protocols whose idle want depends
+//! on the bin id keep a full grant pass ([`grant_range`]).
 //! ```
 //!
 //! Each chunk writes exclusively into its own [`LaneScratch`] arena, owned
@@ -46,6 +49,7 @@ use pba_par::{Chunking, DisjointClaims, DisjointIndexMut, ThreadPool};
 use crate::faults::{BallFault, FaultCtx, FaultRecord};
 use crate::protocol::{BallContext, ChoiceSink, CommitOption, RoundContext, RoundProtocol};
 use crate::rng::RoundStreams;
+use crate::sparse::TouchedBins;
 
 /// Default minimum number of active balls assigned to one parallel chunk.
 pub const DEFAULT_MIN_CHUNK: usize = 16 * 1024;
@@ -347,6 +351,9 @@ pub(crate) struct LaneScratch {
     /// Selected option indices for `NEEDS_COMMIT_CHOICE` protocols (one
     /// entry per replica the ball commits; empty = the ball declines).
     picks: Vec<u32>,
+    /// This chunk's load transitions: `lifts[i]` commits found their bin
+    /// at load `load_base + i` (folded into the engine's load histogram).
+    pub(crate) lifts: Vec<u32>,
     /// Balls of this chunk that did not commit this round.
     pub(crate) still_active: Vec<u32>,
     /// First out-of-range bin a protocol emitted in this chunk, if any.
@@ -371,6 +378,7 @@ impl LaneScratch {
             raw: Vec::new(),
             options: Vec::new(),
             picks: Vec::new(),
+            lifts: Vec::new(),
             still_active: Vec::new(),
             out_of_range: None,
             faults: FaultRecord::default(),
@@ -487,11 +495,11 @@ pub(crate) fn gather_chunk<P: RoundProtocol, A: Admission>(
 }
 
 /// The bin-side decision for one bin: `(clamped accept, want)`. Shared
-/// by the in-process grant phase ([`grant_range`]) and the shard-range
-/// mirror ([`grant_slice`]) so both compute identical grants by
-/// construction.
+/// by the in-process grant passes ([`touched_pass`], [`grant_range`]),
+/// the engine's crash sweep, and the shard-range mirror
+/// ([`grant_slice`]), so all compute identical grants by construction.
 #[inline]
-fn bin_decision<P: RoundProtocol>(
+pub(crate) fn bin_decision<P: RoundProtocol>(
     protocol: &P,
     ctx: &RoundContext,
     bin: u32,
@@ -502,9 +510,10 @@ fn bin_decision<P: RoundProtocol>(
     (g.accept.min(arrivals), g.want)
 }
 
-/// One task's slice of the grant phase: query the protocol for every bin
-/// in `range`, record the clamped accept and the want, and return this
-/// range's `(underloaded bins, unfilled want)` contribution.
+/// One task's slice of the full grant pass, for protocols without an
+/// [`RoundProtocol::idle_want`]: query the protocol for every bin in
+/// `range`, record the clamped accept, and return this range's
+/// `(underloaded bins, unfilled want)` contribution.
 pub(crate) fn grant_range<P: RoundProtocol>(
     protocol: &P,
     ctx: &RoundContext,
@@ -512,7 +521,6 @@ pub(crate) fn grant_range<P: RoundProtocol>(
     counts: &[u32],
     loads: &[u32],
     accept: &DisjointIndexMut<'_, u32>,
-    want: &DisjointIndexMut<'_, u32>,
 ) -> (u32, u64) {
     let mut underloaded = 0u32;
     let mut unfilled = 0u64;
@@ -520,10 +528,9 @@ pub(crate) fn grant_range<P: RoundProtocol>(
         let arrivals = counts[i];
         let (a, w) = bin_decision(protocol, ctx, i as u32, loads[i], arrivals);
         // SAFETY: callers partition bin indices over tasks, so no other
-        // task writes these slots.
+        // task writes this slot.
         unsafe {
             *accept.index_mut(i) = a;
-            *want.index_mut(i) = w;
         }
         if arrivals < w {
             underloaded += 1;
@@ -531,6 +538,98 @@ pub(crate) fn grant_range<P: RoundProtocol>(
         }
     }
     (underloaded, unfilled)
+}
+
+/// Immutable context shared by every task of a round's touched-bin pass.
+pub(crate) struct TouchedShared<'a, P: RoundProtocol> {
+    pub protocol: &'a P,
+    pub ctx: &'a RoundContext,
+    pub touched: &'a TouchedBins,
+    pub counts: &'a [u32],
+    /// Round-start loads (the pass runs before any commit).
+    pub loads: &'a [u32],
+    /// `Some` when the pass decides the grants: the histogram's idle
+    /// wants by `load - base`, paired with `base`. `None` when `accept`
+    /// is already filled (a full grant pass, or a delegate).
+    pub idle: Option<(&'a [u32], u32)>,
+    pub accept: DisjointIndexMut<'a, u32>,
+    /// Per-bin received-message counters, if tracked.
+    pub received: Option<DisjointIndexMut<'a, u64>>,
+    /// Round-start load snapshot for `NEEDS_COMMIT_CHOICE` protocols;
+    /// written at touched bins, the only ones resolve reads.
+    pub loads_before: Option<DisjointIndexMut<'a, u32>>,
+}
+
+/// One task's tallies from [`touched_pass`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TouchedTally {
+    /// `Σ min(accept, arrivals)` — the round's granted slots.
+    pub granted: u64,
+    /// Underload of the visited bins (only when the pass decides grants).
+    pub underloaded: u32,
+    pub unfilled: u64,
+    /// The visited bins' underload had they been idle: what the
+    /// histogram's all-idle totals counted for them.
+    pub idle_underloaded: u32,
+    pub idle_unfilled: u64,
+}
+
+impl TouchedTally {
+    pub(crate) fn merge(self, o: Self) -> Self {
+        Self {
+            granted: self.granted + o.granted,
+            underloaded: self.underloaded + o.underloaded,
+            unfilled: self.unfilled + o.unfilled,
+            idle_underloaded: self.idle_underloaded + o.idle_underloaded,
+            idle_unfilled: self.idle_unfilled + o.idle_unfilled,
+        }
+    }
+}
+
+/// THE per-bin kernel of a round: one ascending walk over the touched
+/// bins of `blocks` that decides each bin's grant (when
+/// [`TouchedShared::idle`] is set), sums the granted slots, credits the
+/// received messages, and snapshots `loads_before`. A bin no request
+/// reached has accept = taken = 0 by construction, so nothing here needs
+/// the idle bins.
+pub(crate) fn touched_pass<P: RoundProtocol>(
+    shared: &TouchedShared<'_, P>,
+    blocks: Range<usize>,
+) -> TouchedTally {
+    let mut t = TouchedTally::default();
+    shared.touched.for_each(blocks, |b| {
+        let arrivals = shared.counts[b];
+        let load = shared.loads[b];
+        // SAFETY: callers partition the blocks over tasks, and blocks
+        // partition the bins, so no other task touches slot `b`.
+        let accept = unsafe { shared.accept.index_mut(b) };
+        if let Some((wants, base)) = shared.idle {
+            let (a, w) = bin_decision(shared.protocol, shared.ctx, b as u32, load, arrivals);
+            *accept = a;
+            if arrivals < w {
+                t.underloaded += 1;
+                t.unfilled += u64::from(w - arrivals);
+            }
+            let idle = wants[(load - base) as usize];
+            if idle > 0 {
+                t.idle_underloaded += 1;
+                t.idle_unfilled += u64::from(idle);
+            }
+        }
+        let taken = (*accept).min(arrivals);
+        t.granted += u64::from(taken);
+        if let Some(received) = &shared.received {
+            // SAFETY: as above — one task per bin.
+            // Requests arriving + commit notifications from every ball
+            // this bin accepted.
+            unsafe { *received.index_mut(b) += u64::from(arrivals + taken) };
+        }
+        if let Some(before) = &shared.loads_before {
+            // SAFETY: as above — one task per bin.
+            unsafe { *before.index_mut(b) = load };
+        }
+    });
+    t
 }
 
 /// The grant phase for a contiguous shard of the bin space — the
@@ -595,11 +694,14 @@ pub(crate) struct ResolveShared<'a, P: RoundProtocol> {
     pub ctx: &'a RoundContext,
     pub active: &'a [u32],
     pub accept: &'a [u32],
-    /// Round-start load snapshot (populated only for `NEEDS_COMMIT_CHOICE`).
+    /// Round-start load snapshot (populated only for `NEEDS_COMMIT_CHOICE`,
+    /// and only at touched bins — every bin resolve reads).
     pub loads_before: &'a [u32],
     /// Live loads as atomics: commit increments are commutative, so the
     /// final values are schedule-independent.
     pub loads: &'a [AtomicU32],
+    /// The round-start minimum load, the origin of each arena's `lifts`.
+    pub load_base: u32,
     /// Final placements (one chunk per ball id), if tracked.
     pub assignment: Option<DisjointIndexMut<'a, u32>>,
     /// Per-ball sent-message counters (one chunk per ball id), if tracked.
@@ -621,12 +723,24 @@ pub(crate) fn resolve_chunk<P: RoundProtocol>(
         counts,
         options,
         picks,
+        lifts,
         still_active,
         committed,
         wasted,
         commit_msgs,
         ..
     } = scratch;
+    lifts.clear();
+    // Every commit lands one load unit through `fetch_add`, whose return
+    // value is the bin's load before it: tally the transition.
+    let mut commit_to = |bin: u32| {
+        let from = (shared.loads[bin as usize].fetch_add(1, Ordering::Relaxed) - shared.load_base)
+            as usize;
+        if from >= lifts.len() {
+            lifts.resize(from + 1, 0);
+        }
+        lifts[from] += 1;
+    };
     still_active.clear();
     *committed = 0;
     *wasted = 0;
@@ -677,7 +791,7 @@ pub(crate) fn resolve_chunk<P: RoundProtocol>(
                 if i == 0 {
                     commit = Some(target);
                 } else {
-                    shared.loads[target as usize].fetch_add(1, Ordering::Relaxed);
+                    commit_to(target);
                 }
             }
             *wasted += (options.len() - picks.len().min(options.len())) as u64;
@@ -692,7 +806,7 @@ pub(crate) fn resolve_chunk<P: RoundProtocol>(
             }
         }
         if let Some(target) = commit {
-            shared.loads[target as usize].fetch_add(1, Ordering::Relaxed);
+            commit_to(target);
             *committed += 1;
             if let Some(assignment) = &shared.assignment {
                 // SAFETY: as above — one chunk per ball id.

@@ -49,6 +49,8 @@
 //!   [`RunConfig::with_validation`][sim::RunConfig::with_validation]:
 //!   ball conservation, bin-capacity respect, monotone commitment, and
 //!   fault-redirect legality, checked every round.
+//! * `sparse` — the touched-bin bitmap and bins-per-load histogram that
+//!   keep a round's bin-side work proportional to the bins it touched.
 //! * [`mathutil`] — `log* n`, iterated logarithms, and friends.
 
 pub mod allocation;
@@ -68,6 +70,7 @@ pub mod protocol;
 pub mod rng;
 pub mod sim;
 pub mod snapshot;
+pub(crate) mod sparse;
 pub mod trace;
 pub(crate) mod validate;
 pub mod wire;

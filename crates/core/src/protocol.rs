@@ -223,6 +223,20 @@ pub trait RoundProtocol: Send + Sync {
     /// of `arrivals` this round.
     fn bin_grant(&self, ctx: &RoundContext, bin: u32, load: u32, arrivals: u32) -> BinGrant;
 
+    /// The `want` of a bin at `load` that no request reached this round.
+    ///
+    /// Contract: `None`, or exactly `bin_grant(ctx, b, load, 0).want` for
+    /// **every** bin `b`. A `Some` lets the engine skip idle bins
+    /// entirely: it decides grants at touched bins only and counts the
+    /// idle bins' underload from a bins-per-load histogram. Protocols
+    /// whose grant ignores the bin id should return
+    /// `Some(self.bin_grant(ctx, 0, load, 0).want)`. The default `None`
+    /// keeps the grant pass over all `n` bins.
+    #[inline]
+    fn idle_want(&self, _ctx: &RoundContext, _load: u32) -> Option<u32> {
+        None
+    }
+
     /// Map an accepted slot to the final bin (identity for symmetric
     /// protocols; superbin protocols spread slots over member bins).
     #[inline]

@@ -97,7 +97,8 @@ impl ValidatorState {
     /// Cross-check the round's outputs against the pre-round snapshot.
     ///
     /// `taken[i]` is the number of requests bin `i` accepted this round
-    /// (`min(accept, arrivals)`); `crashed` is the run-level crashed-bin
+    /// (`min(accept, arrivals)`, which is the engine's clamped `accept`);
+    /// `crashed` is the run-level crashed-bin
     /// list (empty without faults); `may_redirect` relaxes the per-bin
     /// capacity check for superbin protocols; `replicas` is the number of
     /// load units one committed ball contributes

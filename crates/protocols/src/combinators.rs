@@ -143,6 +143,14 @@ where
         }
     }
 
+    fn idle_want(&self, ctx: &RoundContext, load: u32) -> Option<u32> {
+        if self.in_second {
+            self.second.idle_want(ctx, load)
+        } else {
+            self.first.idle_want(ctx, load)
+        }
+    }
+
     fn redirect(&self, ctx: &RoundContext, bin: u32, slot: u32) -> u32 {
         if self.in_second {
             self.second.redirect(ctx, bin, slot)

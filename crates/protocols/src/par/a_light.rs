@@ -105,6 +105,11 @@ impl RoundProtocol for ALight {
     fn bin_grant(&self, _ctx: &RoundContext, _bin: u32, load: u32, arrivals: u32) -> BinGrant {
         BinGrant::all_or_nothing(self.cap, load, arrivals)
     }
+
+    fn idle_want(&self, ctx: &RoundContext, load: u32) -> Option<u32> {
+        // The grant ignores the bin id.
+        Some(self.bin_grant(ctx, 0, load, 0).want)
+    }
 }
 
 #[cfg(test)]

@@ -210,6 +210,15 @@ impl RoundProtocol for Asymmetric {
         }
     }
 
+    fn idle_want(&self, ctx: &RoundContext, load: u32) -> Option<u32> {
+        // The pre-round grant ignores the bin id; the main phase's depends
+        // on whether the bin leads its superbin, so it takes the full pass.
+        match self.phase {
+            Phase::PreRound => Some(self.bin_grant(ctx, 0, load, 0).want),
+            Phase::Main => None,
+        }
+    }
+
     fn redirect(&self, _ctx: &RoundContext, bin: u32, slot: u32) -> u32 {
         match self.phase {
             Phase::PreRound => bin,

@@ -134,6 +134,11 @@ impl RoundProtocol for EstimatedAverage {
         BinGrant::up_to(self.threshold.saturating_sub(load))
     }
 
+    fn idle_want(&self, ctx: &RoundContext, load: u32) -> Option<u32> {
+        // The grant ignores the bin id.
+        Some(self.bin_grant(ctx, 0, load, 0).want)
+    }
+
     fn select_commits(
         &self,
         ctx: &RoundContext,

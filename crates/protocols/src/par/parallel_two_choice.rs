@@ -84,6 +84,11 @@ impl RoundProtocol for ParallelTwoChoice {
         BinGrant::up_to(self.capacity.saturating_sub(load))
     }
 
+    fn idle_want(&self, ctx: &RoundContext, load: u32) -> Option<u32> {
+        // The grant ignores the bin id.
+        Some(self.bin_grant(ctx, 0, load, 0).want)
+    }
+
     fn pick_commit(
         &self,
         _ctx: &RoundContext,

@@ -58,6 +58,11 @@ impl RoundProtocol for SingleChoice {
             want: arrivals,
         }
     }
+
+    fn idle_want(&self, ctx: &RoundContext, load: u32) -> Option<u32> {
+        // The grant ignores the bin id.
+        Some(self.bin_grant(ctx, 0, load, 0).want)
+    }
 }
 
 #[cfg(test)]

@@ -176,6 +176,11 @@ impl RoundProtocol for ThresholdHeavy {
         }
     }
 
+    fn idle_want(&self, ctx: &RoundContext, load: u32) -> Option<u32> {
+        // The grant ignores the bin id.
+        Some(self.bin_grant(ctx, 0, load, 0).want)
+    }
+
     fn after_round(&mut self, _ctx: &RoundContext, _record: &RoundRecord) -> Flow {
         if self.phase == Phase::Threshold {
             self.schedule.advance();

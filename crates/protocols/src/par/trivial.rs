@@ -57,6 +57,11 @@ impl RoundProtocol for TrivialRoundRobin {
     fn bin_grant(&self, ctx: &RoundContext, _bin: u32, load: u32, _arrivals: u32) -> BinGrant {
         BinGrant::up_to(ctx.spec.ceil_avg().saturating_sub(load))
     }
+
+    fn idle_want(&self, ctx: &RoundContext, load: u32) -> Option<u32> {
+        // The grant ignores the bin id.
+        Some(self.bin_grant(ctx, 0, load, 0).want)
+    }
 }
 
 #[cfg(test)]

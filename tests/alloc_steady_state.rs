@@ -67,8 +67,12 @@ struct AllocSnapshots {
 
 impl AllocSnapshots {
     fn new() -> Self {
+        Self::with_capacity(64)
+    }
+
+    fn with_capacity(rounds: usize) -> Self {
         Self {
-            snaps: Mutex::new(Vec::with_capacity(64)),
+            snaps: Mutex::new(Vec::with_capacity(rounds)),
         }
     }
 }
@@ -84,6 +88,7 @@ impl MetricsSink for AllocSnapshots {
 #[test]
 fn parallel_rounds_and_stream_batches_stay_allocation_free() {
     engine_rounds_allocate_nothing_after_warmup();
+    sparse_bookkeeping_rounds_allocate_nothing_after_warmup();
     stream_batches_allocate_a_bounded_amount();
     latency_histogram_record_path_allocates_nothing();
 }
@@ -115,6 +120,42 @@ fn engine_rounds_allocate_nothing_after_warmup() {
             snaps[r - 1],
             "round {r} allocated {} time(s); steady-state rounds must not \
              touch the heap",
+            snaps[r] - snaps[r - 1]
+        );
+    }
+}
+
+/// Sparse-bookkeeping half: estimated-average is multi-round, needs the
+/// commit choice (so the `loads_before` snapshot), and takes the
+/// `idle_want` path every round — the touched-bin bitmap, the load
+/// histogram and the per-arena load-transition tallies must all reach
+/// their steady capacity during warm-up. Sequential: on a pool, the
+/// round where fan-out collapses to one chunk grows chunk 0's request
+/// buffers once, which is arena sizing, not bookkeeping.
+fn sparse_bookkeeping_rounds_allocate_nothing_after_warmup() {
+    let spec = ProblemSpec::new(1 << 12, 1 << 12).unwrap();
+    let budget = EstimatedAverage::new(spec).round_budget(&spec) as usize;
+    let sink = Arc::new(AllocSnapshots::with_capacity(budget + 1));
+    let cfg = RunConfig::seeded(7)
+        .with_trace(false)
+        .with_metrics(sink.clone());
+    let out = Simulator::new(spec, cfg)
+        .run(EstimatedAverage::new(spec))
+        .unwrap();
+    assert!(out.is_complete());
+
+    let snaps = sink.snaps.lock().unwrap();
+    assert!(
+        snaps.len() >= 8,
+        "need many rounds to observe a steady state, got {}",
+        snaps.len()
+    );
+    for r in 2..snaps.len() {
+        assert_eq!(
+            snaps[r],
+            snaps[r - 1],
+            "estimated-average round {r} allocated {} time(s); steady-state \
+             rounds must not touch the heap",
             snaps[r] - snaps[r - 1]
         );
     }
