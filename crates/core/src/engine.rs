@@ -30,12 +30,14 @@
 //! steady-state round performs **zero heap allocations** on either
 //! backend — enforced by `tests/alloc_steady_state.rs`.
 
+use std::ops::Range;
+
 use pba_par::{as_atomic_u32, DisjointClaims, DisjointIndexMut};
 
 use crate::delegate::GrantDelegate;
 use crate::error::{CoreError, Result};
 use crate::exec::{
-    bin_decision, gather_chunk, grant_range, resolve_chunk, touched_pass, Backend, ChunkPlan,
+    bin_decision, gather_chunk, grant_slice, resolve_chunk, touched_pass, Backend, ChunkPlan,
     Faulty, GatherShared, LaneScratch, NoFaults, ResolveShared, TouchedShared, TouchedTally,
     Tuning,
 };
@@ -45,7 +47,7 @@ use crate::metrics::{MetricsSink, Phase, RoundTimer, RunMeta};
 use crate::model::ProblemSpec;
 use crate::protocol::{RoundContext, RoundProtocol};
 use crate::rng::RoundStreams;
-use crate::sparse::{LoadHistogram, TouchedBins, BLOCK_BINS};
+use crate::sparse::{LoadHistogram, TouchedBins, BLOCK_BINS, GROUP_BINS};
 use crate::trace::RoundRecord;
 use crate::validate::ValidatorState;
 
@@ -86,11 +88,12 @@ pub(crate) struct SimState<P: RoundProtocol> {
     claims: DisjointClaims,
     next_active: Vec<u32>,
     /// Bins with nonzero global arrival counts this round, each exactly
-    /// once — the round-level union of the arenas' touched lists. Drives
-    /// the sparse zeroing of `counts`, `accept` and `touched` at the next
-    /// round's scan.
+    /// once — the round-level union of the arenas' touched lists, handed
+    /// to a grant delegate.
     hot_bins: Vec<u32>,
-    /// `hot_bins` as a bitmap, for the ascending per-bin walk.
+    /// `hot_bins` as a bitmap, for the ascending per-bin walks: the
+    /// grant pass, and the sparse zeroing of `counts` and `accept` at
+    /// the next round's scan.
     touched: TouchedBins,
     /// Bins per load, updated from each round's commits.
     histogram: LoadHistogram,
@@ -301,14 +304,15 @@ impl<P: RoundProtocol> SimState<P> {
         // base (the number of arrivals to that bin in earlier chunks).
         // Only touched bins carry arrivals, so the scan walks the arenas'
         // touched lists instead of all `chunks × n` slots, and `counts`
-        // is zeroed through last round's hot list instead of a dense
-        // fill. Untouched bins keep a correct 0 in both arrays. Last
-        // round's grants and touched set are cleared the same way.
-        for &b in &self.hot_bins {
-            self.counts[b as usize] = 0;
-            self.accept[b as usize] = 0;
-        }
-        self.touched.clear(&self.hot_bins);
+        // and `accept` are zeroed through last round's touched set (in
+        // ascending order, so a dense round streams) instead of a dense
+        // fill. Untouched bins keep a correct 0 in all three arrays.
+        let (counts, accept) = (&mut self.counts, &mut self.accept);
+        self.touched.for_each_group(0..self.touched.blocks(), |g| {
+            zero_group(counts, g.clone());
+            zero_group(accept, g);
+        });
+        self.touched.clear();
         self.hot_bins.clear();
         for arena in self.scratch[..nchunks].iter_mut() {
             for &b in &arena.touched {
@@ -319,11 +323,15 @@ impl<P: RoundProtocol> SimState<P> {
                     // First chunk to reach this bin this round (chunk
                     // arrival counts are nonzero by construction).
                     self.hot_bins.push(b);
-                    self.touched.insert(b);
                 }
                 arena.counts[bu] = total;
                 self.counts[bu] = total + c;
             }
+        }
+        // Marked in a pass of its own: inside the scan loop the marking
+        // slowed a dense round's scan by half.
+        for &b in &self.hot_bins {
+            self.touched.insert(b);
         }
         if let Some(t) = timer.as_mut() {
             t.lap(Phase::CountScan);
@@ -453,7 +461,7 @@ impl<P: RoundProtocol> SimState<P> {
     ///
     /// With an idle want for every present load, one touched-bin pass
     /// decides the grants, and the histogram's all-idle underload is
-    /// corrected at the touched bins. Without, a full [`grant_range`]
+    /// corrected at the touched bins. Without, a full [`grant_slice`]
     /// pass over all `n` bins decides them first.
     fn grants(
         &mut self,
@@ -472,24 +480,16 @@ impl<P: RoundProtocol> SimState<P> {
                 )
             }
             None => {
-                let n = self.spec.bins() as usize;
-                let counts = &self.counts;
-                let loads = &self.loads;
-                let accept = DisjointIndexMut::new(&mut self.accept);
-                let (ub, uw) = match backend.pool() {
-                    Some(pool) if n >= plan.par_cutoff => pba_par::par_reduce(
-                        pool,
-                        n,
-                        plan.min_chunk,
-                        || (0u32, 0u64),
-                        |acc, r| {
-                            let (ub, uw) = grant_range(protocol, ctx, r, counts, loads, &accept);
-                            (acc.0 + ub, acc.1 + uw)
-                        },
-                        |a, b| (a.0 + b.0, a.1 + b.1),
-                    ),
-                    _ => grant_range(protocol, ctx, 0..n, counts, loads, &accept),
-                };
+                // The crash sweep below runs on both paths.
+                let (ub, uw) = grant_slice(
+                    protocol,
+                    ctx,
+                    0,
+                    &self.counts,
+                    &self.loads,
+                    &[],
+                    &mut self.accept,
+                );
                 let t = self.touched_pass(protocol, ctx, backend, plan, false);
                 (ub, uw, t.granted)
             }
@@ -537,6 +537,16 @@ impl<P: RoundProtocol> SimState<P> {
             ),
             _ => touched_pass(&shared, 0..blocks),
         }
+    }
+}
+
+/// Zero `a[g]`, one touched group: a fixed-size store for a full group
+/// (a variable-length `fill` becomes a `memset` call per group).
+#[inline]
+fn zero_group(a: &mut [u32], g: Range<usize>) {
+    match a[g.start..].first_chunk_mut::<GROUP_BINS>() {
+        Some(line) => *line = [0; GROUP_BINS],
+        None => a[g].fill(0),
     }
 }
 

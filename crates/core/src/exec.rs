@@ -30,7 +30,7 @@
 //! and its bookkeeping ([`touched_pass`]) walk only the round's touched
 //! bins, and the underload of idle bins comes from a bins-per-load
 //! histogram (see [`crate::sparse`]). Protocols whose idle want depends
-//! on the bin id keep a full grant pass ([`grant_range`]).
+//! on the bin id keep a full grant pass ([`grant_slice`]).
 //! ```
 //!
 //! Each chunk writes exclusively into its own [`LaneScratch`] arena, owned
@@ -495,9 +495,9 @@ pub(crate) fn gather_chunk<P: RoundProtocol, A: Admission>(
 }
 
 /// The bin-side decision for one bin: `(clamped accept, want)`. Shared
-/// by the in-process grant passes ([`touched_pass`], [`grant_range`]),
-/// the engine's crash sweep, and the shard-range mirror
-/// ([`grant_slice`]), so all compute identical grants by construction.
+/// by the touched-bin pass ([`touched_pass`]), the full pass over a bin
+/// range ([`grant_slice`]) and the engine's crash sweep, so all compute
+/// identical grants by construction.
 #[inline]
 pub(crate) fn bin_decision<P: RoundProtocol>(
     protocol: &P,
@@ -508,36 +508,6 @@ pub(crate) fn bin_decision<P: RoundProtocol>(
 ) -> (u32, u32) {
     let g = protocol.bin_grant(ctx, bin, load, arrivals);
     (g.accept.min(arrivals), g.want)
-}
-
-/// One task's slice of the full grant pass, for protocols without an
-/// [`RoundProtocol::idle_want`]: query the protocol for every bin in
-/// `range`, record the clamped accept, and return this range's
-/// `(underloaded bins, unfilled want)` contribution.
-pub(crate) fn grant_range<P: RoundProtocol>(
-    protocol: &P,
-    ctx: &RoundContext,
-    range: Range<usize>,
-    counts: &[u32],
-    loads: &[u32],
-    accept: &DisjointIndexMut<'_, u32>,
-) -> (u32, u64) {
-    let mut underloaded = 0u32;
-    let mut unfilled = 0u64;
-    for i in range {
-        let arrivals = counts[i];
-        let (a, w) = bin_decision(protocol, ctx, i as u32, loads[i], arrivals);
-        // SAFETY: callers partition bin indices over tasks, so no other
-        // task writes this slot.
-        unsafe {
-            *accept.index_mut(i) = a;
-        }
-        if arrivals < w {
-            underloaded += 1;
-            unfilled += (w - arrivals) as u64;
-        }
-    }
-    (underloaded, unfilled)
 }
 
 /// Immutable context shared by every task of a round's touched-bin pass.
@@ -587,7 +557,8 @@ impl TouchedTally {
 }
 
 /// THE per-bin kernel of a round: one ascending walk over the touched
-/// bins of `blocks` that decides each bin's grant (when
+/// bins (nonzero arrivals) of the touched groups in `blocks` that
+/// decides each bin's grant (when
 /// [`TouchedShared::idle`] is set), sums the granted slots, credits the
 /// received messages, and snapshots `loads_before`. A bin no request
 /// reached has accept = taken = 0 by construction, so nothing here needs
@@ -597,44 +568,55 @@ pub(crate) fn touched_pass<P: RoundProtocol>(
     blocks: Range<usize>,
 ) -> TouchedTally {
     let mut t = TouchedTally::default();
-    shared.touched.for_each(blocks, |b| {
-        let arrivals = shared.counts[b];
-        let load = shared.loads[b];
-        // SAFETY: callers partition the blocks over tasks, and blocks
-        // partition the bins, so no other task touches slot `b`.
-        let accept = unsafe { shared.accept.index_mut(b) };
-        if let Some((wants, base)) = shared.idle {
-            let (a, w) = bin_decision(shared.protocol, shared.ctx, b as u32, load, arrivals);
-            *accept = a;
-            if arrivals < w {
-                t.underloaded += 1;
-                t.unfilled += u64::from(w - arrivals);
-            }
-            let idle = wants[(load - base) as usize];
-            if idle > 0 {
-                t.idle_underloaded += 1;
-                t.idle_unfilled += u64::from(idle);
-            }
+    shared.touched.for_each_group(blocks, |group| {
+        // The group's touched bins, as a mask: a dense round then pays
+        // one unpredictable branch per group, not one per bin.
+        let mut touched = 0u32;
+        for (i, &c) in shared.counts[group.clone()].iter().enumerate() {
+            touched |= u32::from(c != 0) << i;
         }
-        let taken = (*accept).min(arrivals);
-        t.granted += u64::from(taken);
-        if let Some(received) = &shared.received {
-            // SAFETY: as above — one task per bin.
-            // Requests arriving + commit notifications from every ball
-            // this bin accepted.
-            unsafe { *received.index_mut(b) += u64::from(arrivals + taken) };
-        }
-        if let Some(before) = &shared.loads_before {
-            // SAFETY: as above — one task per bin.
-            unsafe { *before.index_mut(b) = load };
+        while touched != 0 {
+            let b = group.start + touched.trailing_zeros() as usize;
+            touched &= touched - 1;
+            let arrivals = shared.counts[b];
+            let load = shared.loads[b];
+            // SAFETY: callers partition the blocks over tasks, and blocks
+            // partition the bins, so no other task touches slot `b`.
+            let accept = unsafe { shared.accept.index_mut(b) };
+            if let Some((wants, base)) = shared.idle {
+                let (a, w) = bin_decision(shared.protocol, shared.ctx, b as u32, load, arrivals);
+                *accept = a;
+                if arrivals < w {
+                    t.underloaded += 1;
+                    t.unfilled += u64::from(w - arrivals);
+                }
+                let idle = wants[(load - base) as usize];
+                if idle > 0 {
+                    t.idle_underloaded += 1;
+                    t.idle_unfilled += u64::from(idle);
+                }
+            }
+            let taken = (*accept).min(arrivals);
+            t.granted += u64::from(taken);
+            // Requests arriving + commit notifications from every ball this
+            // bin accepted.
+            if let Some(received) = &shared.received {
+                // SAFETY: as above — one task per bin.
+                unsafe { *received.index_mut(b) += u64::from(arrivals + taken) };
+            }
+            if let Some(before) = &shared.loads_before {
+                // SAFETY: as above — one task per bin.
+                unsafe { *before.index_mut(b) = load };
+            }
         }
     });
     t
 }
 
-/// The grant phase for a contiguous shard of the bin space — the
+/// The grant phase for a contiguous range of the bin space — the
 /// computation a cluster shard worker (`pba-cluster`) performs for the
-/// bins it owns.
+/// bins it owns, and the engine's full grant pass (over `[0, n)`) for
+/// protocols without an [`RoundProtocol::idle_want`].
 ///
 /// `counts`, `loads`, and `accept` are the shard's dense slices for
 /// global bins `[lo, lo + counts.len())`, indexed relative to `lo`;

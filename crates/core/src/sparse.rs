@@ -1,11 +1,11 @@
 //! Sparse per-round bookkeeping: the state that lets a round's bin-side
 //! work cost `O(requests + touched bins)` instead of `O(n)`.
 //!
-//! * [`TouchedBins`] — the round's touched-bin set as a bitmap with a
-//!   one-bit-per-word summary, walked in ascending bin order. Ascending
-//!   order keeps the single full-width round of a dense run streaming
-//!   through memory, and the summary keeps a sparse round's walk from
-//!   scanning `n / 64` empty words.
+//! * [`TouchedBins`] — the round's touched bins as a bitmap of 16-bin
+//!   groups with a one-bit-per-word summary, walked in ascending bin
+//!   order. Ascending order keeps the single full-width round of a dense
+//!   run streaming through memory, and the summary keeps a sparse
+//!   round's walk from scanning every empty word.
 //! * [`LoadHistogram`] — bins per load, kept in step with the commits
 //!   themselves (each resolve arena tallies the load transitions its
 //!   `fetch_add`s report). It yields the max load and, through
@@ -16,39 +16,53 @@ use std::ops::Range;
 
 use crate::protocol::{RoundContext, RoundProtocol};
 
-/// Bins covered by one summary word: 64 words of 64 bins.
-pub(crate) const BLOCK_BINS: usize = 64 * 64;
+/// Bins per group: one 64-byte cache line of a per-bin `u32` array.
+pub(crate) const GROUP_BINS: usize = 16;
 
-/// A set of bins, walked in ascending order in `O(members + n / 4096)`.
+/// Bins covered by one summary word: 64 words of 64 groups.
+pub(crate) const BLOCK_BINS: usize = 64 * 64 * GROUP_BINS;
+
+/// The groups of [`GROUP_BINS`] bins that a round's requests reached,
+/// walked in ascending order in `O(groups + n / 65536)`.
+///
+/// The set records groups, not bins: a caller finds the touched bins of
+/// a group by their nonzero arrival counts, which it reads anyway. One
+/// bit per cache line of counts keeps the set small enough to stay in
+/// cache while the scan marks it (n/128 bytes), and a walk reads no line
+/// of counts it would not read per bin.
 pub(crate) struct TouchedBins {
-    /// Bit `b % 64` of word `b / 64` is set iff bin `b` is a member.
-    words: Vec<u64>,
-    /// Bit `w % 64` of summary word `w / 64` is set iff `words[w] != 0`.
+    n: usize,
+    /// Bit `g % 64` of word `g / 64` is set iff group `g` was touched.
+    groups: Vec<u64>,
+    /// Bit `w % 64` of summary word `w / 64` is set iff `groups[w] != 0`.
     summary: Vec<u64>,
 }
 
 impl TouchedBins {
     pub(crate) fn new(n: usize) -> Self {
-        let words = n.div_ceil(64);
+        let words = n.div_ceil(GROUP_BINS).div_ceil(64);
         Self {
-            words: vec![0; words],
+            n,
+            groups: vec![0; words],
             summary: vec![0; words.div_ceil(64)],
         }
     }
 
     #[inline]
     pub(crate) fn insert(&mut self, bin: u32) {
-        let b = bin as usize;
-        self.words[b / 64] |= 1 << (b % 64);
-        self.summary[b / BLOCK_BINS] |= 1 << (b / 64 % 64);
+        let g = bin as usize / GROUP_BINS;
+        self.groups[g / 64] |= 1 << (g % 64);
+        self.summary[g / (64 * 64)] |= 1 << (g / 64 % 64);
     }
 
-    /// Empty the set, given its full member list: `O(members)`.
-    pub(crate) fn clear(&mut self, members: &[u32]) {
-        for &bin in members {
-            let b = bin as usize;
-            self.words[b / 64] = 0;
-            self.summary[b / BLOCK_BINS] = 0;
+    /// Empty the set: `O(touched groups + n / 65536)`.
+    pub(crate) fn clear(&mut self) {
+        for (s, summary) in self.summary.iter_mut().enumerate() {
+            let mut bits = std::mem::take(summary);
+            while bits != 0 {
+                self.groups[s * 64 + bits.trailing_zeros() as usize] = 0;
+                bits &= bits - 1;
+            }
         }
     }
 
@@ -58,17 +72,19 @@ impl TouchedBins {
         self.summary.len()
     }
 
-    /// Call `f` on every member in `blocks`, in ascending bin order.
+    /// Call `f` on the bin range of every touched group in `blocks`, in
+    /// ascending order.
     #[inline]
-    pub(crate) fn for_each(&self, blocks: Range<usize>, mut f: impl FnMut(usize)) {
+    pub(crate) fn for_each_group(&self, blocks: Range<usize>, mut f: impl FnMut(Range<usize>)) {
         for s in blocks {
             let mut summary = self.summary[s];
             while summary != 0 {
                 let w = s * 64 + summary.trailing_zeros() as usize;
                 summary &= summary - 1;
-                let mut bits = self.words[w];
+                let mut bits = self.groups[w];
                 while bits != 0 {
-                    f(w * 64 + bits.trailing_zeros() as usize);
+                    let lo = (w * 64 + bits.trailing_zeros() as usize) * GROUP_BINS;
+                    f(lo..(lo + GROUP_BINS).min(self.n));
                     bits &= bits - 1;
                 }
             }
@@ -173,26 +189,30 @@ mod tests {
     fn touched_walk_is_ascending_and_clears() {
         let n = 3 * BLOCK_BINS + 17;
         let mut set = TouchedBins::new(n);
-        let members = [9000u32, 5, 64, 63, (n - 1) as u32, 4096, 5];
-        for &b in &members {
+        for b in [70_000u32, 5, 64, 63, (n - 1) as u32, 65_536, 5, 2] {
             set.insert(b);
         }
         let mut seen = Vec::new();
-        set.for_each(0..set.blocks(), |b| seen.push(b as u32));
-        let mut want: Vec<u32> = members.to_vec();
-        want.sort_unstable();
-        want.dedup();
-        assert_eq!(seen, want);
+        set.for_each_group(0..set.blocks(), |g| seen.push(g));
+        assert_eq!(
+            seen,
+            [
+                0..16,
+                48..64,
+                64..80,
+                65_536..65_552,
+                70_000..70_016,
+                n - 1..n
+            ]
+        );
 
-        // A sub-range of blocks sees exactly its own members.
+        // A sub-range of blocks sees exactly its own groups.
         let mut mid = Vec::new();
-        set.for_each(1..3, |b| mid.push(b));
-        assert_eq!(mid, vec![4096, 9000]);
+        set.for_each_group(1..3, |g| mid.push(g.start));
+        assert_eq!(mid, [65_536, 70_000]);
 
-        set.clear(&members);
-        let mut after = 0;
-        set.for_each(0..set.blocks(), |_| after += 1);
-        assert_eq!(after, 0);
+        set.clear();
+        assert!(set.groups.iter().chain(&set.summary).all(|&w| w == 0));
     }
 
     #[test]
