@@ -20,10 +20,10 @@
 //!
 //! * Per-bin work is proportional to the bins the round touched, not to
 //!   `n`: grants, granted slots, received messages and the
-//!   `loads_before` snapshot are computed by one ascending walk over a
-//!   touched-bin bitmap, and the max load and idle-bin underload come
-//!   from a bins-per-load histogram updated by the commits themselves
-//!   (see [`crate::sparse`]).
+//!   `loads_before` snapshot are computed by one ascending walk over the
+//!   touched bins, and the max load and idle-bin underload come from a
+//!   bins-per-load histogram updated by the commits themselves (see
+//!   [`crate::sparse`]).
 //!
 //! `SimState` owns the per-chunk [`LaneScratch`] arenas and all workhorse
 //! buffers, reused across rounds: after the first (warm-up) round, a
@@ -91,9 +91,9 @@ pub(crate) struct SimState<P: RoundProtocol> {
     /// once — the round-level union of the arenas' touched lists, handed
     /// to a grant delegate.
     hot_bins: Vec<u32>,
-    /// `hot_bins` as a bitmap, for the ascending per-bin walks: the
-    /// grant pass, and the sparse zeroing of `counts` and `accept` at
-    /// the next round's scan.
+    /// The groups of `hot_bins`, for the ascending walks: the grant
+    /// pass, and the sparse zeroing of `counts` and `accept` at the next
+    /// round's scan.
     touched: TouchedBins,
     /// Bins per load, updated from each round's commits.
     histogram: LoadHistogram,

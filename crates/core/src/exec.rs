@@ -558,19 +558,18 @@ impl TouchedTally {
 
 /// THE per-bin kernel of a round: one ascending walk over the touched
 /// bins (nonzero arrivals) of the touched groups in `blocks` that
-/// decides each bin's grant (when
-/// [`TouchedShared::idle`] is set), sums the granted slots, credits the
-/// received messages, and snapshots `loads_before`. A bin no request
-/// reached has accept = taken = 0 by construction, so nothing here needs
-/// the idle bins.
+/// decides each bin's grant (when [`TouchedShared::idle`] is set), sums
+/// the granted slots, credits the received messages, and snapshots
+/// `loads_before`. A bin no request reached has accept = taken = 0 by
+/// construction, so nothing here needs the idle bins.
 pub(crate) fn touched_pass<P: RoundProtocol>(
     shared: &TouchedShared<'_, P>,
     blocks: Range<usize>,
 ) -> TouchedTally {
     let mut t = TouchedTally::default();
     shared.touched.for_each_group(blocks, |group| {
-        // The group's touched bins, as a mask: a dense round then pays
-        // one unpredictable branch per group, not one per bin.
+        // The group's touched bins as a mask: a dense round pays one
+        // unpredictable branch per group, not one per bin.
         let mut touched = 0u32;
         for (i, &c) in shared.counts[group.clone()].iter().enumerate() {
             touched |= u32::from(c != 0) << i;
@@ -579,11 +578,11 @@ pub(crate) fn touched_pass<P: RoundProtocol>(
             let b = group.start + touched.trailing_zeros() as usize;
             touched &= touched - 1;
             let arrivals = shared.counts[b];
-            let load = shared.loads[b];
             // SAFETY: callers partition the blocks over tasks, and blocks
             // partition the bins, so no other task touches slot `b`.
             let accept = unsafe { shared.accept.index_mut(b) };
             if let Some((wants, base)) = shared.idle {
+                let load = shared.loads[b];
                 let (a, w) = bin_decision(shared.protocol, shared.ctx, b as u32, load, arrivals);
                 *accept = a;
                 if arrivals < w {
@@ -598,15 +597,15 @@ pub(crate) fn touched_pass<P: RoundProtocol>(
             }
             let taken = (*accept).min(arrivals);
             t.granted += u64::from(taken);
-            // Requests arriving + commit notifications from every ball this
-            // bin accepted.
+            // Requests arriving + commit notifications from every ball
+            // this bin accepted.
             if let Some(received) = &shared.received {
                 // SAFETY: as above — one task per bin.
                 unsafe { *received.index_mut(b) += u64::from(arrivals + taken) };
             }
             if let Some(before) = &shared.loads_before {
                 // SAFETY: as above — one task per bin.
-                unsafe { *before.index_mut(b) = load };
+                unsafe { *before.index_mut(b) = shared.loads[b] };
             }
         }
     });

@@ -287,3 +287,29 @@ fn estimated_average_rounds_cost_touched_bins_not_n() {
         "the full grant path asks every bin every round"
     );
 }
+
+/// At n = 2^18 the touched-bin walk spans four summary blocks, so a pool
+/// splits it across tasks; the result must match the serial walk.
+#[test]
+fn touched_pass_split_across_blocks_matches_serial() {
+    let spec = ProblemSpec::new(1 << 18, 1 << 18).unwrap();
+    for name in ["single-choice", "collision", "kd-choice"] {
+        let view = |lanes: usize| {
+            let mut cfg = RunConfig::seeded(23)
+                .with_trace(true)
+                .with_tracking(MessageTracking::PerBin);
+            if lanes > 1 {
+                cfg = cfg
+                    .with_executor(ExecutorKind::ParallelWith(lanes))
+                    .with_tuning(Tuning::fixed(4096, 8192));
+            }
+            let out = probe_run(name, spec, cfg, true, 0).0.expect("completes");
+            (
+                out.trace.expect("trace").records().to_vec(),
+                out.loads,
+                out.per_bin_received,
+            )
+        };
+        assert_eq!(view(1), view(3), "{name}: split walk diverged from serial");
+    }
+}
