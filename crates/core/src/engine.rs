@@ -329,7 +329,7 @@ impl<P: RoundProtocol> SimState<P> {
             }
         }
         // Marked in a pass of its own: inside the scan loop the marking
-        // slowed a dense round's scan by half.
+        // made a dense round's scan about a quarter slower.
         for &b in &self.hot_bins {
             self.touched.insert(b);
         }
