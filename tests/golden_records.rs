@@ -4,7 +4,7 @@
 //! `golden_loads.rs` pins final loads and round counts only, so round
 //! statistics that no final load depends on — `underloaded_bins`,
 //! `unfilled_want`, `granted`, `max_load` — could drift unnoticed. Each
-//! digest here folds in every [`RoundRecord`] field of every round, the
+//! digest here folds in every `RoundRecord` field of every round, the
 //! final `loads`, and `per_bin_received`. Sequential and a 3-lane pool
 //! (chunk geometry lowered so the pool really fans out) must both hit
 //! the same constant.
