@@ -797,10 +797,20 @@ impl GrantDelegate for EngineDelegate {
                                 detail: format!("grant for bin {bin} out of range"),
                             }
                         })?;
-                        *slot = u32::try_from(a).map_err(|_| CoreError::ClusterTransport {
-                            shard: link.shard(),
-                            detail: format!("grant for bin {bin} exceeds u32"),
-                        })?;
+                        // A grant above the bin's arrivals — at a bin with
+                        // none, above all — breaks the engine's invariant
+                        // `accept <= counts`: the engine zeroes `accept`
+                        // only at bins that had arrivals.
+                        let arrivals = counts[bin as usize];
+                        if a > u64::from(arrivals) {
+                            return Err(CoreError::ClusterTransport {
+                                shard: link.shard(),
+                                detail: format!(
+                                    "grant of {a} for bin {bin} exceeds its {arrivals} arrivals"
+                                ),
+                            });
+                        }
+                        *slot = a as u32;
                     }
                     underloaded += ub;
                     unfilled += uw;

@@ -18,8 +18,9 @@
 //! * For every bin `b` with `counts[b] > 0` (the bins listed in
 //!   `hot_bins`) **and** every crashed bin, write
 //!   `accept[b] = grant.accept.min(counts[b])` (0 for crashed bins) into
-//!   the dense `accept` array, which arrives zero-filled. Bins the
-//!   delegate does not touch stay 0 — correct for bins with no arrivals.
+//!   the dense `accept` array, which arrives zero-filled. Write no
+//!   other nonzero value: bins with no arrivals must stay 0, because the
+//!   engine zeroes `accept` again only at bins that had arrivals.
 //! * Return the `(underloaded_bins, unfilled_want)` totals with the
 //!   crashed-bin adjustment already applied (a crashed bin contributes
 //!   to neither; see `SimState::apply_crash_grants` for the arithmetic).

@@ -30,7 +30,7 @@
 //! steady-state round performs **zero heap allocations** on either
 //! backend — enforced by `tests/alloc_steady_state.rs`.
 
-use std::ops::Range;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use pba_par::{as_atomic_u32, DisjointClaims, DisjointIndexMut};
 
@@ -47,7 +47,7 @@ use crate::metrics::{MetricsSink, Phase, RoundTimer, RunMeta};
 use crate::model::ProblemSpec;
 use crate::protocol::{RoundContext, RoundProtocol};
 use crate::rng::RoundStreams;
-use crate::sparse::{LoadHistogram, TouchedBins, BLOCK_BINS, GROUP_BINS};
+use crate::sparse::{LoadHistogram, TouchedBins, BLOCK_BINS};
 use crate::trace::RoundRecord;
 use crate::validate::ValidatorState;
 
@@ -309,8 +309,8 @@ impl<P: RoundProtocol> SimState<P> {
         // fill. Untouched bins keep a correct 0 in all three arrays.
         let (counts, accept) = (&mut self.counts, &mut self.accept);
         self.touched.for_each_group(0..self.touched.blocks(), |g| {
-            zero_group(counts, g.clone());
-            zero_group(accept, g);
+            counts[g.clone()].fill(0);
+            accept[g].fill(0);
         });
         self.touched.clear();
         self.hot_bins.clear();
@@ -341,9 +341,9 @@ impl<P: RoundProtocol> SimState<P> {
         // authority (the cluster orchestrator's request/reply wave).
         let (underloaded_bins, unfilled_want, granted) = match delegate.as_deref_mut() {
             Some(d) => {
-                // The delegate writes only the bins it grants; `accept` is
-                // already 0 everywhere (zeroed through last round's hot
-                // list).
+                // The delegate writes only bins with arrivals (see the
+                // `GrantDelegate` contract); `accept` is already 0
+                // everywhere (zeroed through last round's touched set).
                 let crashed = self
                     .faults
                     .as_ref()
@@ -461,8 +461,8 @@ impl<P: RoundProtocol> SimState<P> {
     ///
     /// With an idle want for every present load, one touched-bin pass
     /// decides the grants, and the histogram's all-idle underload is
-    /// corrected at the touched bins. Without, a full [`grant_slice`]
-    /// pass over all `n` bins decides them first.
+    /// corrected at the touched bins. Without, [`Self::full_grants`]
+    /// decides them over all `n` bins first.
     fn grants(
         &mut self,
         protocol: &P,
@@ -480,22 +480,48 @@ impl<P: RoundProtocol> SimState<P> {
                 )
             }
             None => {
-                // The crash sweep below runs on both paths.
-                let (ub, uw) = grant_slice(
-                    protocol,
-                    ctx,
-                    0,
-                    &self.counts,
-                    &self.loads,
-                    &[],
-                    &mut self.accept,
-                );
+                let (ub, uw) = self.full_grants(protocol, ctx, backend, plan);
                 let t = self.touched_pass(protocol, ctx, backend, plan, false);
                 (ub, uw, t.granted)
             }
         };
         self.apply_crash_grants(protocol, ctx, &mut ub, &mut uw);
         (ub, uw, granted)
+    }
+
+    /// Decide every bin's grant with [`grant_slice`]: serial below the
+    /// cutoff (or on the serial backend), over disjoint bin slices on the
+    /// pool otherwise. The crash sweep is left to the caller.
+    fn full_grants(
+        &mut self,
+        protocol: &P,
+        ctx: &RoundContext,
+        backend: Backend<'_>,
+        plan: ChunkPlan,
+    ) -> (u32, u64) {
+        let (counts, loads) = (&self.counts, &self.loads);
+        match backend.pool() {
+            Some(pool) if counts.len() >= plan.par_cutoff => {
+                let underloaded = AtomicU32::new(0);
+                let unfilled = AtomicU64::new(0);
+                pba_par::par_chunks_mut(pool, &mut self.accept, plan.min_chunk, |lo, accept| {
+                    let r = lo..lo + accept.len();
+                    let (ub, uw) = grant_slice(
+                        protocol,
+                        ctx,
+                        lo as u32,
+                        &counts[r.clone()],
+                        &loads[r],
+                        &[],
+                        accept,
+                    );
+                    underloaded.fetch_add(ub, Ordering::Relaxed);
+                    unfilled.fetch_add(uw, Ordering::Relaxed);
+                });
+                (underloaded.into_inner(), unfilled.into_inner())
+            }
+            _ => grant_slice(protocol, ctx, 0, counts, loads, &[], &mut self.accept),
+        }
     }
 
     /// Run [`touched_pass`] over the round's touched bins: serial, or
@@ -537,16 +563,6 @@ impl<P: RoundProtocol> SimState<P> {
             ),
             _ => touched_pass(&shared, 0..blocks),
         }
-    }
-}
-
-/// Zero `a[g]`, one touched group: a fixed-size store for a full group
-/// (a variable-length `fill` becomes a `memset` call per group).
-#[inline]
-fn zero_group(a: &mut [u32], g: Range<usize>) {
-    match a[g.start..].first_chunk_mut::<GROUP_BINS>() {
-        Some(line) => *line = [0; GROUP_BINS],
-        None => a[g].fill(0),
     }
 }
 

@@ -567,21 +567,7 @@ pub(crate) fn touched_pass<P: RoundProtocol>(
     blocks: Range<usize>,
 ) -> TouchedTally {
     let mut t = TouchedTally::default();
-    let per_bin =
-        shared.idle.is_some() || shared.received.is_some() || shared.loads_before.is_some();
     shared.touched.for_each_group(blocks, |group| {
-        if !per_bin {
-            // Only the granted sum is left, and a bin without arrivals
-            // adds 0 to it: sum the whole group, branch-free.
-            for b in group {
-                // SAFETY: callers partition the blocks over tasks, and
-                // blocks partition the bins, so no other task touches
-                // slot `b`.
-                let accept = unsafe { *shared.accept.index_mut(b) };
-                t.granted += u64::from(accept.min(shared.counts[b]));
-            }
-            return;
-        }
         // The group's touched bins as a mask: a dense round pays one
         // unpredictable branch per group, not one per bin.
         let mut touched = 0u32;

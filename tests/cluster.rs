@@ -185,6 +185,65 @@ fn misbehaving_worker_surfaces_a_clear_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[cfg(unix)]
+#[test]
+fn grant_at_a_bin_without_arrivals_is_rejected() {
+    // A real worker behind a proxy that adds a grant at a bin the
+    // round's requests never reached. The engine zeroes grants only at
+    // bins with arrivals, so accepting it would leave a stale grant
+    // behind; the orchestrator must refuse the reply instead.
+    use pba::cluster::wire::read_frame;
+    use std::io::{BufReader, Write};
+    use std::os::unix::net::{UnixListener, UnixStream};
+
+    let path = std::env::temp_dir().join(format!("pba-stray-grant-{}.sock", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    let listener = UnixListener::bind(&path).unwrap();
+    let proxy = std::thread::spawn(move || {
+        let (orch, _) = listener.accept().unwrap();
+        let (near, far) = UnixStream::pair().unwrap();
+        let worker = std::thread::spawn(move || {
+            let reader = BufReader::new(far.try_clone().unwrap());
+            pba::cluster::worker::serve(reader, far).ok();
+        });
+        let mut from_orch = BufReader::new(orch.try_clone().unwrap());
+        let mut to_orch = orch;
+        let mut from_worker = BufReader::new(near.try_clone().unwrap());
+        let mut to_worker = near;
+        let mut idle_bin = None;
+        // Every request has exactly one reply, so the proxy runs lockstep.
+        while let Ok(Some((frame, _, wire))) = read_frame(&mut from_orch) {
+            if let Frame::Grants { counts, .. } = &frame {
+                idle_bin = (0u32..).find(|b| counts.iter().all(|&(c, _)| c != *b));
+            }
+            to_worker.write_all(&frame.encode_wire(wire)).unwrap();
+            let Ok(Some((mut reply, _, wire))) = read_frame(&mut from_worker) else {
+                break;
+            };
+            if let (Frame::GrantsOk { accept, .. }, Some(b)) = (&mut reply, idle_bin) {
+                accept.push((b, 1));
+            }
+            if to_orch.write_all(&reply.encode_wire(wire)).is_err() {
+                break;
+            }
+        }
+        drop((to_worker, from_worker));
+        worker.join().unwrap();
+    });
+    let spec = ProblemSpec::new(64, 4096).unwrap();
+    let err = ClusterConfig::engine("collision", spec, SEED)
+        .with_shards(1)
+        .run_connect(&[path.to_string_lossy().into_owned()])
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("cluster transport failure") && err.contains("exceeds its 0 arrivals"),
+        "expected the stray grant to be rejected, got: {err}"
+    );
+    proxy.join().unwrap();
+    std::fs::remove_file(&path).ok();
+}
+
 /// Splice a valid FNV-1a checksum onto a JSON body so content-level
 /// decode errors are reachable past the checksum gate.
 fn stamped(body: &str) -> String {
