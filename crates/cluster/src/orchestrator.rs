@@ -40,7 +40,7 @@ use pba_protocols::{visit_protocol, ProtocolVisitor};
 use pba_stream::{PolicyKind, StreamAllocator, Workload, WorkloadCfg};
 
 use crate::transport::ShardLink;
-use crate::wire::{Frame, Hello, WireFormat};
+use crate::wire::{Frame, Hello};
 
 /// First bin of shard `s` among `n` bins and `shards` shards.
 ///
@@ -80,7 +80,6 @@ pub struct ClusterConfig {
     kill: Option<(u32, u64)>,
     worker_exe: Option<PathBuf>,
     validate: bool,
-    wire: WireFormat,
     overlap: bool,
 }
 
@@ -134,7 +133,6 @@ impl ClusterConfig {
             kill: None,
             worker_exe: None,
             validate: false,
-            wire: WireFormat::Binary,
             overlap: true,
         }
     }
@@ -157,7 +155,6 @@ impl ClusterConfig {
             kill: None,
             worker_exe: None,
             validate: false,
-            wire: WireFormat::Binary,
             overlap: true,
         }
     }
@@ -214,14 +211,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Pick the frame codec: [`WireFormat::Binary`] (default) or
-    /// [`WireFormat::Json`] as the debug/compat path. Runs are
-    /// bit-identical either way; only the bytes on the wire differ.
-    pub fn with_wire(mut self, wire: WireFormat) -> Self {
-        self.wire = wire;
-        self
-    }
-
     /// Enable/disable overlapped sends (default on). When on, each link
     /// serializes and writes wave `k+1` on a dedicated sender thread
     /// (bounded [`crate::transport::SEND_QUEUE_DEPTH`]-slot queue) while
@@ -255,7 +244,7 @@ impl ClusterConfig {
     /// baseline the process transport is verified against.
     pub fn run_local(self) -> Result<ClusterOutcome> {
         let links = (0..self.shards)
-            .map(|s| ShardLink::local(s, self.wire, self.overlap))
+            .map(|s| ShardLink::local(s, self.overlap))
             .collect();
         self.run(links)
     }
@@ -265,7 +254,7 @@ impl ClusterConfig {
     pub fn run_process(self) -> Result<ClusterOutcome> {
         let exe = self.exe()?;
         let links = (0..self.shards)
-            .map(|s| ShardLink::process(s, &exe, self.wire, self.overlap))
+            .map(|s| ShardLink::process(s, &exe, self.overlap))
             .collect::<Result<Vec<_>>>()?;
         self.run(links)
     }
@@ -277,7 +266,7 @@ impl ClusterConfig {
     pub fn run_socket(self) -> Result<ClusterOutcome> {
         let exe = self.exe()?;
         let links = (0..self.shards)
-            .map(|s| ShardLink::socket(s, &exe, self.wire, self.overlap))
+            .map(|s| ShardLink::socket(s, &exe, self.overlap))
             .collect::<Result<Vec<_>>>()?;
         self.run(links)
     }
@@ -300,7 +289,7 @@ impl ClusterConfig {
         let links = addrs
             .iter()
             .enumerate()
-            .map(|(s, addr)| ShardLink::socket_connect(s as u32, addr, self.wire, self.overlap))
+            .map(|(s, addr)| ShardLink::socket_connect(s as u32, addr, self.overlap))
             .collect::<Result<Vec<_>>>()?;
         self.run(links)
     }

@@ -2,7 +2,7 @@
 //! worker, one overlapped send path.
 //!
 //! A [`ShardLink`] is the orchestrator's channel to one shard worker.
-//! It speaks either wire codec (see [`crate::wire`]) over any
+//! It speaks the binary frame codec (see [`crate::wire`]) over any
 //! transport:
 //!
 //! * [`LocalTransport`] — run [`crate::worker::serve`] on a thread over
@@ -48,7 +48,7 @@ use std::time::Duration;
 
 use pba_core::{CoreError, Result};
 
-use crate::wire::{read_frame, Frame, WireFormat};
+use crate::wire::{read_frame, Frame};
 use crate::worker;
 
 /// Depth of the per-link send queue: the wave in flight plus one being
@@ -495,7 +495,6 @@ enum SendHalf {
 /// The orchestrator's channel to one shard worker, with wire accounting.
 pub struct ShardLink {
     shard: u32,
-    wire: WireFormat,
     sender: SendHalf,
     reader: Box<dyn BufRead + Send>,
     transport: Box<dyn Transport>,
@@ -504,7 +503,7 @@ pub struct ShardLink {
     pub frames_sent: u64,
     /// Frames the orchestrator received over this link.
     pub frames_recv: u64,
-    /// Bytes sent (complete frames, envelope/newline included).
+    /// Bytes sent (complete frames, envelope included).
     pub bytes_sent: u64,
     /// Bytes received.
     pub bytes_recv: u64,
@@ -515,12 +514,7 @@ pub struct ShardLink {
 impl ShardLink {
     /// Wrap a connected transport. `overlap` arms the two-slot sender
     /// thread; without it every send is a blocking write.
-    pub fn new(
-        shard: u32,
-        mut transport: Box<dyn Transport>,
-        wire: WireFormat,
-        overlap: bool,
-    ) -> ShardLink {
+    pub fn new(shard: u32, mut transport: Box<dyn Transport>, overlap: bool) -> ShardLink {
         let mut writer = transport.take_writer();
         let reader = transport.take_reader();
         let sender = if overlap {
@@ -556,7 +550,6 @@ impl ShardLink {
         };
         ShardLink {
             shard,
-            wire,
             sender,
             reader,
             transport,
@@ -570,43 +563,35 @@ impl ShardLink {
     }
 
     /// Worker thread over in-memory pipes (tests, `--local` runs).
-    pub fn local(shard: u32, wire: WireFormat, overlap: bool) -> ShardLink {
-        ShardLink::new(shard, Box::new(LocalTransport::spawn(shard)), wire, overlap)
+    pub fn local(shard: u32, overlap: bool) -> ShardLink {
+        ShardLink::new(shard, Box::new(LocalTransport::spawn(shard)), overlap)
     }
 
     /// Worker child process over stdin/stdout pipes.
-    pub fn process(shard: u32, exe: &Path, wire: WireFormat, overlap: bool) -> Result<ShardLink> {
+    pub fn process(shard: u32, exe: &Path, overlap: bool) -> Result<ShardLink> {
         Ok(ShardLink::new(
             shard,
             Box::new(PipeTransport::spawn(shard, exe)?),
-            wire,
             overlap,
         ))
     }
 
     /// Managed socket worker: spawn `exe shard-worker --listen` on a
     /// fresh Unix-domain socket and connect.
-    pub fn socket(shard: u32, exe: &Path, wire: WireFormat, overlap: bool) -> Result<ShardLink> {
+    pub fn socket(shard: u32, exe: &Path, overlap: bool) -> Result<ShardLink> {
         Ok(ShardLink::new(
             shard,
             Box::new(SocketTransport::spawn(shard, exe)?),
-            wire,
             overlap,
         ))
     }
 
     /// Pre-started socket worker at `addr` (TCP `host:port`, or a
     /// Unix-domain socket path).
-    pub fn socket_connect(
-        shard: u32,
-        addr: &str,
-        wire: WireFormat,
-        overlap: bool,
-    ) -> Result<ShardLink> {
+    pub fn socket_connect(shard: u32, addr: &str, overlap: bool) -> Result<ShardLink> {
         Ok(ShardLink::new(
             shard,
             Box::new(SocketTransport::connect(shard, addr)?),
-            wire,
             overlap,
         ))
     }
@@ -614,11 +599,6 @@ impl ShardLink {
     /// This link's shard index.
     pub fn shard(&self) -> u32 {
         self.shard
-    }
-
-    /// The codec this link speaks.
-    pub fn wire(&self) -> WireFormat {
-        self.wire
     }
 
     /// The transport flavor ("local", "pipe", "socket").
@@ -650,7 +630,7 @@ impl ShardLink {
     /// enqueue on the sender thread (overlapped — returns as soon as a
     /// queue slot is free, at most [`SEND_QUEUE_DEPTH`] waves ahead).
     pub fn send(&mut self, frame: &Frame) -> Result<()> {
-        let bytes = frame.encode_wire(self.wire);
+        let bytes = frame.encode_binary();
         let len = bytes.len();
         match &mut self.sender {
             SendHalf::Sync(writer) => {
@@ -699,8 +679,7 @@ impl ShardLink {
         Ok(())
     }
 
-    /// Receive one frame (either codec — the lead byte disambiguates).
-    /// EOF, unreadable frames, and worker-reported `error` frames all
+    /// Receive one frame. EOF, unreadable frames, and worker-reported `error` frames all
     /// surface as [`CoreError::ClusterTransport`].
     pub fn recv(&mut self) -> Result<Frame> {
         let got = read_frame(self.reader.as_mut()).map_err(|e| {
@@ -714,7 +693,7 @@ impl ShardLink {
                 detail: format!("unreadable reply: {e}{parked}"),
             }
         })?;
-        let Some((frame, bytes, _)) = got else {
+        let Some((frame, bytes)) = got else {
             self.alive = false;
             let parked = self
                 .parked_error()
@@ -848,7 +827,7 @@ mod tests {
     fn overlapped_sender_parks_write_errors() {
         // A local link whose pipes are severed under the sender thread:
         // the enqueue succeeds, the error surfaces on the next call.
-        let mut link = ShardLink::local(0, WireFormat::Binary, true);
+        let mut link = ShardLink::local(0, true);
         link.transport.kill();
         link.send(&Frame::Drain).ok(); // may or may not observe it yet
         let mut saw_error = false;

@@ -1,21 +1,19 @@
 //! Minimal hand-rolled JSON: emission *and* parsing.
 //!
-//! The default workspace builds with **zero external dependencies** (no
-//! serde), so every machine-readable artifact — the `--trace` JSONL
-//! stream, the `pba-run bench` `BENCH_*.json` files, `pba-run verify
-//! --json`, and the cluster wire protocol (`pba-cluster`) — goes through
-//! this one escaping/formatting/parsing module. The emission half
-//! ([`escape`], [`number`], [`JsonObject`], [`u64_array`]) grew up in
-//! `crates/runner`; the recursive-descent parser ([`parse`], [`Json`])
-//! was promoted out of the trace round-trip test when the wire codec
-//! needed to *read* frames, not just write them.
+//! The workspace builds with **zero external dependencies** (no serde),
+//! so every machine-readable text artifact — the `--trace` JSONL stream,
+//! the `pba-run bench` `BENCH_*.json` files and `pba-run verify --json`
+//! — goes through this one escaping/formatting/parsing module. The
+//! emission half is [`escape`], [`number`], [`JsonObject`] and
+//! [`u64_array`]; the recursive-descent parser ([`parse`], [`Json`])
+//! reads those artifacts back (the trace round-trip test, the
+//! benchmark's self-test).
 //!
 //! ## Number fidelity
 //!
 //! Unsigned integer tokens (all digits, no sign/fraction/exponent) are
 //! stored as [`Json::UInt`] and round-trip exactly across the full
-//! `u64` range — seeds ride the wire natively, with no decimal-string
-//! workaround. Every other numeric token falls back to `f64`
+//! `u64` range — seeds survive with no decimal-string workaround. Every other numeric token falls back to `f64`
 //! ([`Json::Num`]), where integers are exact only up to 2^53.
 
 use std::collections::BTreeMap;

@@ -36,11 +36,10 @@
 //! * [`binstate`] — the [`BinState`] load-accounting trait shared by the
 //!   one-shot engine and the streaming allocator (`pba-stream`).
 //! * [`json`] — the zero-dependency JSON emitter + parser behind the
-//!   runner's JSONL traces and the cluster wire protocol.
+//!   runner's JSONL traces and `BENCH_*.json` files.
 //! * [`wire`] — the hand-rolled binary wire toolkit (little-endian
 //!   primitives, LEB128 varints, FNV-1a-checksummed frames) shared by
-//!   snapshots, the cluster shard protocol, and the socket ingest path;
-//!   usable without the `serde` feature.
+//!   snapshots, the cluster shard protocol, and the socket ingest path.
 //! * [`snapshot`] — allocator checkpoint/restore framing for the
 //!   service facade, a thin façade over [`wire`].
 //! * [`load`], [`messages`], [`allocation`], [`trace`] — statistics and

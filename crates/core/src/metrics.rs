@@ -274,7 +274,8 @@ pub struct ClusterShardRecord {
     pub frames_sent: u64,
     /// Frames the orchestrator received from this shard.
     pub frames_recv: u64,
-    /// Bytes sent to this shard (framed JSON lines, newline included).
+    /// Bytes sent to this shard (complete binary frames, envelope
+    /// included).
     pub bytes_sent: u64,
     /// Bytes received from this shard.
     pub bytes_recv: u64,

@@ -21,7 +21,6 @@ use crate::protocol::{Flow, RoundProtocol};
 use crate::trace::{RoundRecord, RunTrace};
 
 /// Which executor runs the rounds.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
     /// One thread, bit-for-bit deterministic given the seed.

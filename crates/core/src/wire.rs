@@ -12,9 +12,8 @@
 //!   its IEEE-754 bit pattern — bit-exact round-trips, which every
 //!   determinism argument in this workspace depends on;
 //! * LEB128 [varints](WireWriter::varint) and zigzag-signed
-//!   [deltas](WireWriter::varint_signed) for sparse id/load lists, the
-//!   reason binary frames are several times smaller than the JSON
-//!   debug path;
+//!   [deltas](WireWriter::varint_signed) for sparse id/load lists, so
+//!   a sparse wave costs about one byte per bin id;
 //! * length-prefixed byte strings (UTF-8 validated on read for
 //!   [`str`](WireReader::str));
 //! * two envelope flavors: the snapshot file frame (4-byte magic +
@@ -25,10 +24,10 @@
 //!   it). Either way a truncated or corrupted frame fails loudly with
 //!   a [`WireError`] instead of decoding into a silently wrong value.
 //!
-//! The message-frame magic `0xB5` is deliberately not valid ASCII and
-//! in particular not `b'{'`: a reader can sniff the first byte of a
-//! connection and fall back to the line-delimited JSON compat codec
-//! when a peer speaks the old dialect.
+//! The message-frame magic `0xB5` is deliberately not valid ASCII, so
+//! a text peer (a JSON line, a shell typing into the socket) fails with
+//! [`WireError::BadFrameMagic`] instead of being misread as a frame
+//! header.
 
 use std::fmt;
 use std::io::Read;
@@ -137,8 +136,8 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Lead byte of every binary message frame. Chosen outside ASCII so a
-/// reader can distinguish binary frames from `{`-led JSON lines.
+/// Lead byte of every binary message frame. Chosen outside ASCII so
+/// text is never mistaken for a frame header.
 pub const MSG_MAGIC: u8 = 0xB5;
 
 /// Sanity cap on a message frame's payload length (64 MiB). A corrupt
@@ -202,11 +201,10 @@ pub fn decode_msg(bytes: &[u8]) -> Result<(u8, &[u8]), WireError> {
     Ok((tag, &body[HEADER..]))
 }
 
-/// Read one message frame from a byte stream after the caller has
-/// already committed to the binary dialect (it peeked [`MSG_MAGIC`], or
-/// the protocol is binary-only). Returns `Ok(None)` on a clean EOF
-/// *before* the first byte; EOF anywhere inside a frame is
-/// [`WireError::Truncated`].
+/// Read one message frame from a byte stream. Returns `Ok(None)` on a
+/// clean EOF *before* the first byte; EOF anywhere inside a frame is
+/// [`WireError::Truncated`], and a header whose lead byte is not
+/// [`MSG_MAGIC`] is [`WireError::BadFrameMagic`].
 pub fn read_msg<R: Read + ?Sized>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, WireError> {
     let mut header = [0u8; 6];
     match read_exact_or_eof(r, &mut header)? {

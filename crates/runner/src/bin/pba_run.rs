@@ -69,11 +69,11 @@ const USAGE: &str = "usage:
   pba-run serve --send ADDR [--policy P] [--n N] [--batch B | Kn] [--batches K]
                  [--workload W] [--churn F] [--seed S]
   pba-run cluster protocol <name> --m M --n N [--shards S] [--seed S]
-                 [--local | --socket | --connect A1,A2,…] [--wire binary|json]
+                 [--local | --socket | --connect A1,A2,…]
                  [--no-overlap] [--faults SPEC] [--trace FILE.jsonl]
   pba-run cluster stream [--policy P] [--n N] [--batch B | Kn] [--batches K]
                  [--workload W] [--churn F] [--shards S] [--seed S] [--kill S@B]
-                 [--local | --socket | --connect A1,A2,…] [--wire binary|json]
+                 [--local | --socket | --connect A1,A2,…]
                  [--no-overlap] [--faults SPEC] [--trace FILE.jsonl]
   pba-run shard-worker [--listen ADDR]   (internal: spawned per shard by
                  `cluster`; --listen serves one orchestrator over TCP/UDS)
@@ -1190,11 +1190,10 @@ fn run_serve_send(args: &[String]) -> Result<(), String> {
 /// (stdin/stdout pipes by default; `--socket` swaps in Unix-domain
 /// sockets, `--connect` targets already-listening workers, `--local`
 /// worker threads over in-memory pipes). All transports speak the same
-/// checksummed wire frames — binary by default, `--wire json` for the
-/// human-readable compat path. Runs are bit-identical to the
-/// single-process equivalent for the same seed regardless of transport,
-/// codec, or `--no-overlap`; the orchestrator verifies per-wave checksums
-/// and a final drain.
+/// checksummed binary wire frames. Runs are bit-identical to the
+/// single-process equivalent for the same seed regardless of transport
+/// or `--no-overlap`; the orchestrator verifies per-wave checksums and a
+/// final drain.
 fn run_cluster(args: &[String]) -> Result<(), String> {
     let Some(mode) = args.first() else {
         return Err("cluster: missing mode ('protocol' or 'stream')".into());
@@ -1300,7 +1299,6 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
     let mut seed = 0u64;
     let mut shards = 2u32;
     let mut transport = ClusterTransport::Process;
-    let mut wire = pba_cluster::WireFormat::Binary;
     let mut overlap = true;
     let mut trace_path: Option<String> = None;
     let mut faults = None;
@@ -1347,10 +1345,6 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
                 transport =
                     ClusterTransport::Connect(addrs.split(',').map(str::to_owned).collect());
             }
-            "--wire" => {
-                wire =
-                    pba_cluster::WireFormat::parse_flag(it.next().ok_or("--wire needs a value")?)?;
-            }
             "--no-overlap" => overlap = false,
             "--trace" => {
                 trace_path = Some(it.next().ok_or("--trace needs a value")?.clone());
@@ -1376,7 +1370,6 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
     };
     let mut cfg = ClusterConfig::engine(name, spec, seed)
         .with_shards(shards)
-        .with_wire(wire)
         .with_overlap(overlap)
         .with_metrics(cluster_sink(&metrics, &trace));
     if let Some(plan) = faults {
@@ -1391,10 +1384,9 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
     let run = out.run.as_ref().expect("engine outcome");
     let stats = run.load_stats();
     println!(
-        "protocol:   {} (cluster: {shards} shard(s) as {}, {} wire{})",
+        "protocol:   {} (cluster: {shards} shard(s) as {}{})",
         run.protocol,
         transport.describe(),
-        wire.name(),
         if overlap { "" } else { ", no overlap" }
     );
     println!("spec:       {spec}");
@@ -1433,7 +1425,6 @@ fn run_cluster_stream(args: &[String]) -> Result<(), String> {
     let mut seed = 0u64;
     let mut kill: Option<(u32, u64)> = None;
     let mut transport = ClusterTransport::Process;
-    let mut wire = pba_cluster::WireFormat::Binary;
     let mut overlap = true;
     let mut trace_path: Option<String> = None;
     let mut faults = None;
@@ -1499,10 +1490,6 @@ fn run_cluster_stream(args: &[String]) -> Result<(), String> {
                 transport =
                     ClusterTransport::Connect(addrs.split(',').map(str::to_owned).collect());
             }
-            "--wire" => {
-                wire =
-                    pba_cluster::WireFormat::parse_flag(it.next().ok_or("--wire needs a value")?)?;
-            }
             "--no-overlap" => overlap = false,
             "--trace" => {
                 trace_path = Some(it.next().ok_or("--trace needs a value")?.clone());
@@ -1540,7 +1527,6 @@ fn run_cluster_stream(args: &[String]) -> Result<(), String> {
     let mut cluster = ClusterConfig::stream(policy, n, seed, batches, b)
         .with_workload(cfg)
         .with_shards(shards)
-        .with_wire(wire)
         .with_overlap(overlap)
         .with_metrics(cluster_sink(&metrics, &trace));
     if let Some(plan) = faults {
@@ -1558,10 +1544,9 @@ fn run_cluster_stream(args: &[String]) -> Result<(), String> {
     let resident: u64 = out.loads.iter().sum();
     let max_load = out.loads.iter().copied().max().unwrap_or(0);
     println!(
-        "policy:     {} (cluster: {shards} shard(s) as {}, {} wire{})",
+        "policy:     {} (cluster: {shards} shard(s) as {}{})",
         out.workload,
         transport.describe(),
-        wire.name(),
         if overlap { "" } else { ", no overlap" }
     );
     println!("workload:   {workload}, b = {b}, churn {churn}, seed {seed}");
@@ -1898,103 +1883,46 @@ fn run_bench(args: &[String]) -> Result<(), String> {
     }
 
     // Cluster mode (small-shaped tiers): wire cost and throughput of the
-    // sharded orchestration at 1/2/4 shards. Worker threads over
-    // in-memory pipes carry the identical wire protocol; spawning real
-    // processes here would benchmark the OS, not the waves. The rows lack
-    // the protocol/executor and policy/ingest keys `bench_diff.sh`
-    // matches on, so the section rides along outside the regression gate.
+    // sharded orchestration at 1/2/4 shards, plus one 4-shard row at
+    // n = 2^20 whatever the tier, so wire bytes per wave are comparable
+    // across tiers. Worker threads over in-memory pipes carry the
+    // identical wire protocol; spawning real processes here would
+    // benchmark the OS, not the waves. The rows lack the
+    // protocol/executor and policy/ingest keys `bench_diff.sh` matches
+    // on, so the section rides along outside the regression gate.
     let mut cluster_entries = Vec::new();
     if tier.stream {
-        eprintln!("benchmarking cluster mode at m = n = {n}, shards 1/2/4, both codecs…");
+        eprintln!("benchmarking cluster mode at m = n = {n} (shards 1/2/4) and 2^20 (4 shards)…");
         println!();
         println!(
             "{:<22} {:>7} {:>7} {:>12} {:>12} {:>12} {:>12}",
             "cluster", "shards", "wire", "balls/s", "frames", "bytes", "bytes/wave"
         );
-        for shards in [1u32, 2, 4] {
-            for wire in [
-                pba_cluster::WireFormat::Binary,
-                pba_cluster::WireFormat::Json,
-            ] {
-                let started = std::time::Instant::now();
-                let out = ClusterConfig::engine("collision", spec, 93_000)
-                    .with_shards(shards)
-                    .with_wire(wire)
-                    .run_local()
-                    .map_err(|e| {
-                        format!("cluster bench ({shards} shards, {}): {e}", wire.name())
-                    })?;
-                let nanos = started.elapsed().as_nanos() as u64;
-                let run = out.run.as_ref().expect("engine outcome");
-                let bps = run.placed as f64 / (nanos as f64 / 1e9);
-                // Every shard crosses the same barriers; shard 0's count
-                // is the wave count of the whole run.
-                let waves = out.shard_records.first().map_or(0, |r| r.barriers);
-                let bytes_per_wave = out.total_bytes() / waves.max(1);
-                println!(
-                    "{:<22} {:>7} {:>7} {:>12.0} {:>12} {:>12} {:>12}",
-                    "engine/collision",
-                    shards,
-                    wire.name(),
-                    bps,
-                    out.total_frames(),
-                    out.total_bytes(),
-                    bytes_per_wave
-                );
-                cluster_entries.push(
-                    JsonObject::new()
-                        .str("mode", "engine")
-                        .str("workload", out.workload)
-                        .str("wire", wire.name())
-                        .u64("n", u64::from(n))
-                        .u64("shards", u64::from(shards))
-                        .u64("rounds", u64::from(run.rounds))
-                        .u64("placed", run.placed)
-                        .u64("messages", run.messages.total())
-                        .u64("frames", out.total_frames())
-                        .u64("bytes", out.total_bytes())
-                        .u64("waves", waves)
-                        .u64("wire_bytes_per_wave", bytes_per_wave)
-                        .u64("wall_nanos", nanos)
-                        .f64("balls_per_sec", bps)
-                        .finish(),
-                );
-            }
-        }
-
-        // The headline wire claim is measured at n = 2^20 regardless of
-        // the tier size: binary frames must cut bytes per wave by >= 3x
-        // against JSON lines on the identical run. Shards 4 keeps the
-        // run representative of a real fan-out without benchmarking the
-        // scheduler.
         let wide_n = 1u32 << 20;
-        let wide_spec = ProblemSpec::new(u64::from(wide_n), wide_n).map_err(|e| e.to_string())?;
-        eprintln!("benchmarking wire codecs at m = n = 2^20, 4 shards…");
-        let mut per_wave = [0u64; 2];
-        for (slot, wire) in [
-            pba_cluster::WireFormat::Binary,
-            pba_cluster::WireFormat::Json,
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        for (bins, shards) in [(n, 1u32), (n, 2), (n, 4), (wide_n, 4)] {
+            let spec = ProblemSpec::new(u64::from(bins), bins).map_err(|e| e.to_string())?;
             let started = std::time::Instant::now();
-            let out = ClusterConfig::engine("collision", wide_spec, 93_000)
-                .with_shards(4)
-                .with_wire(wire)
+            let out = ClusterConfig::engine("collision", spec, 93_000)
+                .with_shards(shards)
                 .run_local()
-                .map_err(|e| format!("wire bench ({}): {e}", wire.name()))?;
+                .map_err(|e| format!("cluster bench (n = {bins}, {shards} shards): {e}"))?;
             let nanos = started.elapsed().as_nanos() as u64;
             let run = out.run.as_ref().expect("engine outcome");
             let bps = run.placed as f64 / (nanos as f64 / 1e9);
+            // Every shard crosses the same barriers; shard 0's count is
+            // the wave count of the whole run.
             let waves = out.shard_records.first().map_or(0, |r| r.barriers);
             let bytes_per_wave = out.total_bytes() / waves.max(1);
-            per_wave[slot] = bytes_per_wave;
+            let label = if bins == n {
+                "engine/collision"
+            } else {
+                "engine/collision 2^20"
+            };
             println!(
                 "{:<22} {:>7} {:>7} {:>12.0} {:>12} {:>12} {:>12}",
-                "engine/collision 2^20",
-                4,
-                wire.name(),
+                label,
+                shards,
+                "binary",
                 bps,
                 out.total_frames(),
                 out.total_bytes(),
@@ -2004,9 +1932,9 @@ fn run_bench(args: &[String]) -> Result<(), String> {
                 JsonObject::new()
                     .str("mode", "engine")
                     .str("workload", out.workload)
-                    .str("wire", wire.name())
-                    .u64("n", u64::from(wide_n))
-                    .u64("shards", 4)
+                    .str("wire", "binary")
+                    .u64("n", u64::from(bins))
+                    .u64("shards", u64::from(shards))
                     .u64("rounds", u64::from(run.rounds))
                     .u64("placed", run.placed)
                     .u64("messages", run.messages.total())
@@ -2017,12 +1945,6 @@ fn run_bench(args: &[String]) -> Result<(), String> {
                     .u64("wall_nanos", nanos)
                     .f64("balls_per_sec", bps)
                     .finish(),
-            );
-        }
-        if per_wave[0] > 0 {
-            println!(
-                "wire ratio at n = 2^20:  json/binary = {:.2}x bytes per wave",
-                per_wave[1] as f64 / per_wave[0] as f64
             );
         }
     }

@@ -84,9 +84,9 @@ fn cluster_processes_match_single_process_run_at_every_shard_count() {
 
 #[test]
 fn transport_and_codec_matrix_is_bit_identical() {
-    // {pipe, unix socket, local threads} x {binary, json} x overlap
-    // on/off: every cell must print the same outcome lines. The pipe +
-    // binary + overlap cell is the baseline (the defaults).
+    // {pipe, unix socket, local threads} x overlap on/off: every cell
+    // must print the same outcome lines. The pipe + overlap cell is the
+    // baseline (the defaults).
     let base = [
         "cluster",
         "protocol",
@@ -109,13 +109,7 @@ fn transport_and_codec_matrix_is_bit_identical() {
     let want = outcome_lines(&String::from_utf8_lossy(&baseline.stdout));
     assert_eq!(want.len(), 4, "baseline must print all four outcome lines");
 
-    let cells: [&[&str]; 5] = [
-        &["--wire", "json"],
-        &["--socket"],
-        &["--socket", "--wire", "json"],
-        &["--local", "--no-overlap"],
-        &["--wire", "json", "--no-overlap"],
-    ];
+    let cells: [&[&str]; 2] = [&["--socket"], &["--local", "--no-overlap"]];
     for cell in cells {
         let mut argv: Vec<&str> = base.to_vec();
         argv.extend_from_slice(cell);
@@ -129,9 +123,19 @@ fn transport_and_codec_matrix_is_bit_identical() {
         assert_eq!(
             outcome_lines(&stdout),
             want,
-            "{cell:?} diverged from the pipe/binary baseline:\n{stdout}"
+            "{cell:?} diverged from the pipe baseline:\n{stdout}"
         );
     }
+    // Binary is the only codec: the old codec flag is an unknown flag.
+    let mut argv: Vec<&str> = base.to_vec();
+    argv.extend_from_slice(&["--wire", "json"]);
+    let out = pba_run(&argv);
+    assert!(!out.status.success(), "--wire json must be rejected");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag '--wire'"),
+        "the error must name the flag:\n{stderr}"
+    );
 }
 
 #[test]
@@ -286,13 +290,14 @@ fn shard_worker_rejects_garbage_with_nonzero_exit() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("shard-worker:") && stderr.contains("malformed"),
+        stderr.contains("shard-worker:") && stderr.contains("bad frame lead byte 0x74"),
         "stderr must describe the bad frame:\n{stderr}"
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let reply = pba_cluster::wire::read_frame(&mut &out.stdout[..]);
     assert!(
-        stdout.contains("\"t\":\"error\""),
-        "an error frame must go out on the wire before exit:\n{stdout}"
+        matches!(&reply, Ok(Some((pba_cluster::Frame::Error { detail }, _)))
+            if detail.contains("lead byte 0x74")),
+        "a binary error frame must go out on the wire before exit: {reply:?}"
     );
 }
 

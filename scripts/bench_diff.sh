@@ -8,10 +8,11 @@
 # (policy, ingest), printing old/new balls-per-second and the relative
 # delta. Cluster entries (keyed on mode/wire/shards/n) get a second,
 # never-gated table of wire bytes per wave, so codec work shows its
-# byte-volume delta without throughput noise tripping CI. Relies only
-# on POSIX tools: the bench JSON is the compact hand-rolled format
-# written by the runner, so a sed split plus awk field scraping is
-# enough — no jq in the container.
+# byte-volume delta without throughput noise tripping CI. `pba-run
+# bench` writes binary rows only; JSON-codec rows in an older baseline
+# print as "gone". Relies only on POSIX tools: the bench JSON is the
+# compact hand-rolled format written by the runner, so a sed split plus
+# awk field scraping is enough — no jq in the container.
 #
 # In `--tier` mode the script runs a fresh `pba-run bench --tier TIER`
 # into a temp file and diffs it against the committed BENCH_TIER.json
@@ -74,7 +75,8 @@ rows() {
 }
 
 # Emit "key<TAB>wire_bytes_per_wave" rows for cluster entries, keyed on
-# (mode, wire, shards, n) so binary and JSON codecs diff independently.
+# (mode, wire, shards, n). The wire key is always "binary" in fresh
+# runs; keeping it in the key lets them match the committed baselines.
 wire_rows() {
   sed 's/},{/}\n{/g' "$1" | awk '
     function field(s, k,   m) {

@@ -1,9 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: every build surface the workspace supports must stay
-# green — formatting, clippy lints (as errors), the default
-# zero-dependency build, the test suite, the no-default-features build,
-# and the serde-feature build (which compiles the cfg_attr derive sites
-# against the vendored no-op serde stub).
+# green — formatting, clippy lints (as errors), the zero-dependency
+# build, the test suite and the no-default-features build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,15 +47,15 @@ run scripts/bench_diff.sh --tier small --gate 60
 # this exercises the shipping binary spawning itself as `shard-worker`.
 PBA=target/release/pba-run
 outcome() { "$@" | grep -E '^(rounds|placed|max load|messages):'; }
-echo "==> cluster smoke: transport x codec bit-identity matrix (seed 11)"
+echo "==> cluster smoke: transport bit-identity matrix (seed 11)"
 want=$(outcome "$PBA" protocol collision --m 65536 --n 4096 --seed 11)
 for shards in 2 4; do
-    for cell in "" "--wire json" "--socket" "--socket --wire json"; do
+    for cell in "" "--socket"; do
         # shellcheck disable=SC2086  # $cell is a flag list, splitting wanted
         got=$(outcome "$PBA" cluster protocol collision \
             --m 65536 --n 4096 --seed 11 --shards "$shards" $cell)
         if [ "$got" != "$want" ]; then
-            echo "cluster --shards $shards ${cell:-(pipe/binary)} diverged from the single-process run:" >&2
+            echo "cluster --shards $shards ${cell:-(pipe)} diverged from the single-process run:" >&2
             diff <(echo "$want") <(echo "$got") >&2 || true
             exit 1
         fi
@@ -121,6 +119,5 @@ if [ "$got" != "$want" ]; then
     exit 1
 fi
 run cargo build --no-default-features
-run cargo build --workspace --features serde
 
 echo "==> all checks passed"

@@ -8,7 +8,7 @@
 //! transport end to end.
 
 use pba::cluster::wire::Frame;
-use pba::cluster::{ClusterConfig, WireFormat};
+use pba::cluster::ClusterConfig;
 use pba::prelude::*;
 
 const SEED: u64 = 1105;
@@ -179,7 +179,9 @@ fn misbehaving_worker_surfaces_a_clear_error() {
         .unwrap_err()
         .to_string();
     assert!(
-        err.contains("cluster transport failure") && err.contains("unreadable reply"),
+        err.contains("cluster transport failure")
+            && err.contains("unreadable reply")
+            && err.contains("bad frame lead byte 0x6e"),
         "expected a malformed-frame transport error, got: {err}"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -212,18 +214,18 @@ fn grant_at_a_bin_without_arrivals_is_rejected() {
         let mut to_worker = near;
         let mut idle_bin = None;
         // Every request has exactly one reply, so the proxy runs lockstep.
-        while let Ok(Some((frame, _, wire))) = read_frame(&mut from_orch) {
+        while let Ok(Some((frame, _))) = read_frame(&mut from_orch) {
             if let Frame::Grants { counts, .. } = &frame {
                 idle_bin = (0u32..).find(|b| counts.iter().all(|&(c, _)| c != *b));
             }
-            to_worker.write_all(&frame.encode_wire(wire)).unwrap();
-            let Ok(Some((mut reply, _, wire))) = read_frame(&mut from_worker) else {
+            to_worker.write_all(&frame.encode_binary()).unwrap();
+            let Ok(Some((mut reply, _))) = read_frame(&mut from_worker) else {
                 break;
             };
             if let (Frame::GrantsOk { accept, .. }, Some(b)) = (&mut reply, idle_bin) {
                 accept.push((b, 1));
             }
-            if to_orch.write_all(&reply.encode_wire(wire)).is_err() {
+            if to_orch.write_all(&reply.encode_binary()).is_err() {
                 break;
             }
         }
@@ -244,40 +246,39 @@ fn grant_at_a_bin_without_arrivals_is_rejected() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Splice a valid FNV-1a checksum onto a JSON body so content-level
-/// decode errors are reachable past the checksum gate.
-fn stamped(body: &str) -> String {
-    let sum = pba::core::wire::fnv1a(body.as_bytes());
-    format!("{},\"sum\":\"{sum:016x}\"}}", &body[..body.len() - 1])
-}
-
 #[test]
 fn wire_decode_errors_are_descriptive() {
-    // Unchecksummed or mangled lines die at the checksum gate with a
-    // diagnostic; a correctly stamped line surfaces the content error.
-    for (line, needle) in [
-        ("not json".to_string(), "checksum"),
-        ("{\"x\":1}".to_string(), "checksum"),
-        (stamped("{\"x\":1}"), "missing"),
-        (stamped("{\"t\":\"warp\"}"), "warp"),
+    // Read the way both ends of a link read: input that is not a binary
+    // message dies on its lead byte, a damaged one at the length or
+    // checksum gate, and a well-formed message with an unknown tag or a
+    // short payload surfaces the content error.
+    use pba::cluster::wire::read_frame;
+    let good = Frame::CommitOk { round: 4, sum: 77 }.encode_binary();
+    let mut tampered = good.clone();
+    tampered[6] ^= 1; // the round varint, covered by the checksum
+    let unknown_tag = pba::core::wire::encode_msg(99, &[]);
+    let short_payload = pba::core::wire::encode_msg(good[1], &[4]);
+    for (bytes, needle) in [
+        (b"not a frame".to_vec(), "lead byte 0x6e"),
+        (b"{\"t\":\"commit_ok\"}\n".to_vec(), "lead byte 0x7b"),
+        (good[..good.len() - 1].to_vec(), "truncated"),
+        (tampered, "checksum"),
+        (unknown_tag, "unknown binary frame tag 99"),
+        (short_payload, "truncated"),
     ] {
-        let err = Frame::decode(&line).unwrap_err();
+        let err = read_frame(&mut &bytes[..]).unwrap_err();
         assert!(
             err.to_lowercase().contains(needle),
-            "{line}: error should mention '{needle}', got: {err}"
+            "{bytes:?}: error should mention '{needle}', got: {err}"
         );
     }
-    // A tampered-but-well-formed line is rejected by the sum before any
-    // content parsing happens.
-    let good = Frame::CommitOk { round: 4, sum: 77 }.encode();
-    let tampered = good.replace("\"round\":4", "\"round\":5");
-    assert!(Frame::decode(&tampered).unwrap_err().contains("checksum"));
 }
 
 #[test]
 fn huge_seeds_round_trip_exactly_on_both_codecs() {
-    // Seeds above 2^53 do not fit a JSON double; both codecs must carry
-    // the native u64 exactly, giving the same run as a single process.
+    // Seeds above 2^53 do not fit a JSON double; the binary codec
+    // carries the native u64 exactly, giving the same run as a single
+    // process.
     let seed = (1u64 << 60) + 3_141_592_653;
     let spec = ProblemSpec::new(1 << 10, 1 << 6).unwrap();
     let single = pba::protocols::run_by_name(
@@ -287,18 +288,14 @@ fn huge_seeds_round_trip_exactly_on_both_codecs() {
     )
     .expect("registry name")
     .expect("run succeeds");
-    for wire in [WireFormat::Binary, WireFormat::Json] {
-        let out = ClusterConfig::engine("collision", spec, seed)
-            .with_shards(2)
-            .with_wire(wire)
-            .run_local()
-            .unwrap();
-        let run = out.run.expect("engine outcome");
-        assert_eq!(run.loads, single.loads, "loads on {} wire", wire.name());
-        assert_eq!(run.rounds, single.rounds, "rounds on {} wire", wire.name());
-    }
-    // And the frame itself is exact: a hello through either codec keeps
-    // every bit of the seed.
+    let out = ClusterConfig::engine("collision", spec, seed)
+        .with_shards(2)
+        .run_local()
+        .unwrap();
+    let run = out.run.expect("engine outcome");
+    assert_eq!(run.loads, single.loads);
+    assert_eq!(run.rounds, single.rounds);
+    // And the frame itself is exact: a hello keeps every bit of the seed.
     let hello = Frame::Hello(pba::cluster::Hello {
         mode: "engine".into(),
         shard: 0,
@@ -313,7 +310,6 @@ fn huge_seeds_round_trip_exactly_on_both_codecs() {
         straggle_us: 0,
         fault_seed: (1 << 57) + 5,
     });
-    assert_eq!(Frame::decode(&hello.encode()).unwrap(), hello);
     assert_eq!(Frame::decode_binary(&hello.encode_binary()).unwrap(), hello);
 }
 
@@ -376,10 +372,10 @@ fn mangled_frames_are_rejected_never_misread() {
     // Satellite guarantee: a corrupted frame (bit flip, truncation, or a
     // lying length header) must decode to a diagnostic error or to the
     // original frame (when the flip lands in redundant encoding space) —
-    // never to a *different* valid frame. Both codecs, seeded fuzz.
+    // never to a *different* valid frame. Seeded fuzz.
     let mut rng = XorShift(0xBADC_0FFE_E0DD_F00D);
     for frame in fuzz_frames() {
-        // Binary codec: flips, truncations, and length lies.
+        // Flips, truncations, and length lies.
         let bytes = frame.encode_binary();
         for _ in 0..200 {
             let mut mangled = bytes.clone();
@@ -410,65 +406,36 @@ fn mangled_frames_are_rejected_never_misread() {
                 ),
             }
         }
-        // JSON codec: flips and truncations on the line.
-        let line = frame.encode();
-        for _ in 0..200 {
-            let mut mangled = line.clone().into_bytes();
-            if rng.next().is_multiple_of(2) {
-                let bit = rng.next() as usize % (mangled.len() * 8);
-                mangled[bit / 8] ^= 1 << (bit % 8);
-            } else {
-                let keep = rng.next() as usize % mangled.len();
-                mangled.truncate(keep);
-            }
-            if mangled == line.as_bytes() {
-                continue;
-            }
-            let Ok(text) = String::from_utf8(mangled) else {
-                continue; // a reader would reject non-UTF-8 upstream
-            };
-            match Frame::decode(&text) {
-                Err(err) => assert!(!err.is_empty(), "empty diagnostic for mangled line"),
-                Ok(decoded) => assert_eq!(
-                    decoded, frame,
-                    "corruption decoded to a different frame: {decoded:?}"
-                ),
-            }
-        }
     }
 }
 
 #[test]
 fn codec_and_overlap_matrix_is_bit_identical() {
-    // The full {binary, json} x {overlap, strict} matrix lands on the
-    // single-process run for both the engine and the stream mirror.
+    // Overlapped and strict waves land on the single-process run for
+    // both the engine and the stream mirror.
     let spec = ProblemSpec::new(1 << 11, 1 << 7).unwrap();
     let single = single_process("collision", spec, None);
     let (bins, batches) = (96u32, 4u64);
     let cfg = WorkloadCfg::uniform(4 * u64::from(bins)).with_churn(0.2);
     let want = stream_reference(PolicyKind::BatchedTwoChoice, bins, cfg, batches, None);
-    for wire in [WireFormat::Binary, WireFormat::Json] {
-        for overlap in [true, false] {
-            let cell = format!("{} wire, overlap {overlap}", wire.name());
-            let out = ClusterConfig::engine("collision", spec, SEED)
-                .with_shards(4)
-                .with_wire(wire)
-                .with_overlap(overlap)
-                .run_local()
-                .unwrap();
-            let run = out.run.expect("engine outcome");
-            assert_eq!(run.loads, single.loads, "engine loads ({cell})");
-            assert_eq!(run.rounds, single.rounds, "engine rounds ({cell})");
-            assert_eq!(run.messages, single.messages, "engine messages ({cell})");
+    for overlap in [true, false] {
+        let cell = format!("overlap {overlap}");
+        let out = ClusterConfig::engine("collision", spec, SEED)
+            .with_shards(4)
+            .with_overlap(overlap)
+            .run_local()
+            .unwrap();
+        let run = out.run.expect("engine outcome");
+        assert_eq!(run.loads, single.loads, "engine loads ({cell})");
+        assert_eq!(run.rounds, single.rounds, "engine rounds ({cell})");
+        assert_eq!(run.messages, single.messages, "engine messages ({cell})");
 
-            let out = ClusterConfig::stream(PolicyKind::BatchedTwoChoice, bins, SEED, batches, 1)
-                .with_workload(cfg)
-                .with_shards(4)
-                .with_wire(wire)
-                .with_overlap(overlap)
-                .run_local()
-                .unwrap();
-            assert_eq!(out.loads, want, "stream loads ({cell})");
-        }
+        let out = ClusterConfig::stream(PolicyKind::BatchedTwoChoice, bins, SEED, batches, 1)
+            .with_workload(cfg)
+            .with_shards(4)
+            .with_overlap(overlap)
+            .run_local()
+            .unwrap();
+        assert_eq!(out.loads, want, "stream loads ({cell})");
     }
 }

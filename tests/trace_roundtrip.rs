@@ -2,8 +2,7 @@
 //! JSON and carries the documented keys with the documented types, for
 //! all seven event kinds (`round`, `fault`, `run`, `pool`, `batch`,
 //! `cluster`, `service`). The parser is the shared one in
-//! `pba_core::json` — the same implementation the cluster wire codec
-//! reads frames with.
+//! `pba_core::json`, the writer's own module.
 
 use std::sync::Arc;
 
