@@ -29,10 +29,10 @@
 //!   simulator does: `begin_round` before the grants of round `r`,
 //!   `after_round` on [`round_commit`](GrantDelegate::round_commit).
 //!
-//! The engine's gather, rank scan, resolve, and fault machinery are
-//! untouched — ball-side work (choices, redraws, backoff) stays with the
-//! orchestrating process, exactly as ball agents stay with the client in
-//! a distributed deployment.
+//! The engine's gather, owner routing, ranking, resolve, and fault
+//! machinery are untouched — ball-side work (choices, redraws, backoff)
+//! stays with the orchestrating process, exactly as ball agents stay with
+//! the client in a distributed deployment.
 
 use crate::error::Result;
 use crate::protocol::RoundContext;
@@ -47,7 +47,8 @@ pub trait GrantDelegate {
     /// Decide this round's grants.
     ///
     /// `counts` is the dense per-bin arrival count; `hot_bins` lists the
-    /// bins with nonzero counts (each exactly once, unordered); `crashed`
+    /// bins with nonzero counts (each exactly once; the engine lists them
+    /// in ascending order, but a delegate must not rely on it); `crashed`
     /// lists the run-level crashed bins. `accept` arrives zero-filled
     /// and must be populated per the contract. Returns
     /// `(underloaded_bins, unfilled_want)`.

@@ -1,45 +1,49 @@
-//! Round execution: gather requests, count arrivals, grant, resolve,
-//! commit.
+//! Round execution: gather requests, route them to bin-range owners,
+//! count, grant, rank, resolve, commit.
 //!
 //! One backend-parameterized [`SimState::round`] drives every round
 //! through the unified kernels in [`crate::exec`]:
 //!
 //! * The active set is split into deterministic chunks
-//!   ([`Backend::chunking`]); the serial backend is the one-chunk instance
-//!   of the identical code, so sequential and parallel execution are
-//!   **bit-identical by construction**. Acceptance is resolved by *global
-//!   arrival rank* (a serial exclusive scan over per-chunk per-bin counts
-//!   gives each chunk a rank base): a request is accepted iff its rank is
-//!   below the bin's grant — exactly the canonical-request-order
+//!   ([`Backend::chunking`]), and the bin space into owner ranges of
+//!   [`crate::sparse::BLOCK_BINS`] bins; the serial backend is the one-chunk, one-owner
+//!   instance of the identical code, so sequential and parallel
+//!   execution are **bit-identical by construction**. Each chunk routes
+//!   its requests to the owners with a stable partition, and each owner
+//!   counts, grants and ranks its own bins' requests in global arrival
+//!   order: a request is accepted iff its *global arrival rank* is below
+//!   the bin's grant — exactly the canonical-request-order
 //!   first-`grant`-arrivals rule, a legitimate instance of the papers'
-//!   "bins accept an arbitrary subset".
+//!   "bins accept an arbitrary subset". Commits are routed back to the
+//!   owners and land with plain adds, after every ball has decided, so
+//!   `loads` is the round-start snapshot throughout resolve. No pass is
+//!   serial over requests or bins, and no bin counter is atomic.
 //! * Per-ball RNG streams are counter-based, so any lane regenerates the
 //!   same choices; fault decisions are counter streams too (see
 //!   [`crate::faults`]), which is what lets the chunked kernel reproduce
 //!   the faulty path bit-for-bit at any lane count.
-//!
 //! * Per-bin work is proportional to the bins the round touched, not to
-//!   `n`: grants, granted slots, received messages and the
-//!   `loads_before` snapshot are computed by one ascending walk over the
-//!   touched bins, and the max load and idle-bin underload come from a
-//!   bins-per-load histogram updated by the commits themselves (see
-//!   [`crate::sparse`]).
+//!   `n`: grants, granted slots and received messages are computed by one
+//!   ascending walk over the touched bins, and the max load and idle-bin
+//!   underload come from a bins-per-load histogram updated by the
+//!   commits themselves (see [`crate::sparse`]).
 //!
-//! `SimState` owns the per-chunk [`LaneScratch`] arenas and all workhorse
-//! buffers, reused across rounds: after the first (warm-up) round, a
-//! steady-state round performs **zero heap allocations** on either
-//! backend — enforced by `tests/alloc_steady_state.rs`.
+//! `SimState` owns the per-chunk [`LaneScratch`] and per-owner-task
+//! [`OwnerScratch`] arenas and all workhorse buffers, reused across
+//! rounds: after the first (warm-up) round, a steady-state round
+//! performs **zero heap allocations** on either backend — enforced by
+//! `tests/alloc_steady_state.rs`.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use pba_par::{as_atomic_u32, DisjointClaims, DisjointIndexMut};
+use pba_par::{Chunking, DisjointClaims, DisjointIndexMut};
 
 use crate::delegate::GrantDelegate;
 use crate::error::{CoreError, Result};
 use crate::exec::{
-    bin_decision, gather_chunk, grant_slice, resolve_chunk, touched_pass, Backend, ChunkPlan,
-    Faulty, GatherShared, LaneScratch, NoFaults, ResolveShared, TouchedShared, TouchedTally,
-    Tuning,
+    bin_decision, commit_range, count_range, ensure_len, gather_chunk, grant_slice, rank_range,
+    resolve_chunk, touched_pass, Backend, ChunkPlan, Faulty, GatherShared, LaneScratch, NoFaults,
+    OwnerScratch, ResolveShared, TouchedShared, TouchedTally, Tuning,
 };
 use crate::faults::{FaultPlan, FaultRecord, FaultSession, FaultStats};
 use crate::messages::{MessageLedger, MessageStats, MessageTracking};
@@ -47,7 +51,7 @@ use crate::metrics::{MetricsSink, Phase, RoundTimer, RunMeta};
 use crate::model::ProblemSpec;
 use crate::protocol::{RoundContext, RoundProtocol};
 use crate::rng::RoundStreams;
-use crate::sparse::{LoadHistogram, TouchedBins, BLOCK_BINS};
+use crate::sparse::{block_bins, LoadHistogram, TouchedBins};
 use crate::trace::RoundRecord;
 use crate::validate::ValidatorState;
 
@@ -83,28 +87,31 @@ pub(crate) struct SimState<P: RoundProtocol> {
     /// One arena per chunk slot; grows to the backend's chunk count on the
     /// first round and is reused verbatim afterwards.
     scratch: Vec<LaneScratch>,
+    /// One arena per owner task, likewise.
+    owners: Vec<OwnerScratch>,
     /// Debug-build verifier of the one-chunk-per-ball-id invariant behind
     /// the `DisjointIndexMut` accesses (no-op in release builds).
     claims: DisjointClaims,
     next_active: Vec<u32>,
-    /// Bins with nonzero global arrival counts this round, each exactly
-    /// once — the round-level union of the arenas' touched lists, handed
-    /// to a grant delegate.
+    /// Bins with nonzero arrival counts this round, ascending, each
+    /// exactly once — listed only for a grant delegate.
     hot_bins: Vec<u32>,
-    /// The groups of `hot_bins`, for the ascending walks: the grant
-    /// pass, and the sparse zeroing of `counts` and `accept` at the next
-    /// round's scan.
+    /// The round's touched groups, one block per owner range: the grant
+    /// pass walks them, and the next round's count sweep zeroes `accept`
+    /// through them.
     touched: TouchedBins,
     /// Bins per load, updated from each round's commits.
     histogram: LoadHistogram,
+    /// Arrivals per bin; zero between rounds (the rank sweep counts it
+    /// back down).
     counts: Vec<u32>,
     /// Clamped grants (`≤ counts`), so also the slots each bin granted;
-    /// 0 off this round's hot bins.
+    /// 0 off this round's touched bins.
     accept: Vec<u32>,
-    /// Load snapshot at round start, for protocols with
-    /// `NEEDS_COMMIT_CHOICE` only (GREEDY-style height information);
-    /// current at the round's touched bins, stale elsewhere.
-    loads_before: Vec<u32>,
+    /// One rank slot per request, at its chunk's `req_base` plus its
+    /// routed position: its arrival rank if accepted, a rejection or
+    /// commit mark otherwise (see [`crate::exec`]).
+    ranks: Vec<u32>,
 }
 
 impl<P: RoundProtocol> SimState<P> {
@@ -132,18 +139,15 @@ impl<P: RoundProtocol> SimState<P> {
             tuning,
             validator: validate.then(|| ValidatorState::new(m)),
             scratch: Vec::new(),
+            owners: Vec::new(),
             claims: DisjointClaims::new(m as usize),
             next_active: Vec::with_capacity(m as usize),
-            hot_bins: Vec::with_capacity(n),
+            hot_bins: Vec::new(),
             touched: TouchedBins::new(n),
             histogram: LoadHistogram::new(spec.bins()),
             counts: vec![0; n],
             accept: vec![0; n],
-            loads_before: if P::NEEDS_COMMIT_CHOICE {
-                vec![0; n]
-            } else {
-                Vec::new()
-            },
+            ranks: Vec::new(),
         }
     }
 
@@ -199,13 +203,13 @@ impl<P: RoundProtocol> SimState<P> {
     ///
     /// Rounds whose active set is below the configured `par_cutoff` (or
     /// whose pool has a single lane) run on the serial backend — which is
-    /// the same kernel with exactly one chunk, so the fallback cannot
-    /// change results. Only the exclusive scan over the chunks' touched
-    /// bins (`O(Σ distinct bins per chunk)`), the histogram fold
-    /// (`O(chunks · load spread)`) and the final merge (`O(m')`) are
-    /// serial. Per-bin work is `O(touched bins)` unless the protocol has
-    /// no [`RoundProtocol::idle_want`] this round, which costs one
-    /// `O(n)` grant pass (see DESIGN.md §18).
+    /// the same kernel with exactly one chunk and one owner task, so the
+    /// fallback cannot change results. Only the per-chunk request-base
+    /// prefix (`O(chunks)`), the histogram fold (`O(owner tasks · load
+    /// spread)`) and the final merge (`O(m')`) are serial. Per-bin work
+    /// is `O(touched bins + n / BLOCK_BINS)` unless the protocol has no
+    /// [`RoundProtocol::idle_want`] this round, which costs one `O(n)`
+    /// grant pass (see DESIGN.md §18).
     pub fn round(
         &mut self,
         protocol: &P,
@@ -229,6 +233,7 @@ impl<P: RoundProtocol> SimState<P> {
         // plans as the active set drains; fixed tuning pins one plan).
         let plan = self.tuning.plan(self.active.len() as u64, backend.lanes());
         let n = self.spec.bins() as usize;
+        let ranges = self.touched.blocks();
 
         // Effective backend for this round: fall back to serial below the
         // fan-out cutoff.
@@ -243,16 +248,22 @@ impl<P: RoundProtocol> SimState<P> {
         while self.scratch.len() < nchunks {
             self.scratch.push(LaneScratch::new());
         }
+        // Owner tasks: contiguous runs of owner ranges.
+        let owners = eff.chunking(ranges, 1);
+        while self.owners.len() < owners.chunks() {
+            self.owners.push(OwnerScratch::new());
+        }
         self.claims.begin();
 
-        // --- Phase 1+2: gather chunk requests and count the chunk's
-        // per-bin arrivals (parallel on a pool backend).
+        // --- Gather each chunk's requests and route them by owner range
+        // (parallel on a pool backend).
         {
             let shared = GatherShared {
                 protocol,
                 ctx: &ctx,
                 streams: RoundStreams::new(self.seed, round),
                 n_bins: self.spec.bins(),
+                ranges,
                 active: &self.active,
                 states: DisjointIndexMut::new(&mut self.ball_state),
                 claims: &self.claims,
@@ -284,8 +295,8 @@ impl<P: RoundProtocol> SimState<P> {
             }
         }
 
-        let mut requests = 0u64;
-        for arena in &self.scratch[..nchunks] {
+        let mut requests = 0usize;
+        for arena in &mut self.scratch[..nchunks] {
             if let Some(bin) = arena.out_of_range {
                 return Err(CoreError::BinOutOfRange {
                     bin,
@@ -293,57 +304,33 @@ impl<P: RoundProtocol> SimState<P> {
                     round: ctx.round,
                 });
             }
-            requests += arena.bins.len() as u64;
+            arena.req_base = requests;
+            requests += arena.bins.len();
         }
+        ensure_len(&mut self.ranks, requests);
         if let Some(t) = timer.as_mut() {
             t.lap(Phase::Gather);
         }
 
-        // --- Exclusive scan (serial, sparse): total arrivals land in
-        // `self.counts`; each chunk's `counts` becomes its per-bin rank
-        // base (the number of arrivals to that bin in earlier chunks).
-        // Only touched bins carry arrivals, so the scan walks the arenas'
-        // touched lists instead of all `chunks × n` slots, and `counts`
-        // and `accept` are zeroed through last round's touched set (in
-        // ascending order, so a dense round streams) instead of a dense
-        // fill. Untouched bins keep a correct 0 in all three arrays.
-        let (counts, accept) = (&mut self.counts, &mut self.accept);
-        self.touched.for_each_group(0..self.touched.blocks(), |g| {
-            counts[g.clone()].fill(0);
-            accept[g].fill(0);
-        });
-        self.touched.clear();
-        self.hot_bins.clear();
-        for arena in self.scratch[..nchunks].iter_mut() {
-            for &b in &arena.touched {
-                let bu = b as usize;
-                let c = arena.counts[bu];
-                let total = self.counts[bu];
-                if total == 0 {
-                    // First chunk to reach this bin this round (chunk
-                    // arrival counts are nonzero by construction).
-                    self.hot_bins.push(b);
-                }
-                arena.counts[bu] = total;
-                self.counts[bu] = total + c;
-            }
-        }
-        // Marked in a pass of its own: inside the scan loop the marking
-        // made a dense round's scan about a quarter slower.
-        for &b in &self.hot_bins {
-            self.touched.insert(b);
-        }
+        // --- Count sweep: each owner counts its range's arrivals, marks
+        // its touched block (zeroing last round's grants through it
+        // first) and, for a delegate, lists its touched bins.
+        self.count_sweep(eff, &owners, nchunks, delegate.is_some());
         if let Some(t) = timer.as_mut() {
             t.lap(Phase::CountScan);
         }
 
-        // --- Phase 3: grants — local, or delegated to an external
-        // authority (the cluster orchestrator's request/reply wave).
+        // --- Grants — local, or delegated to an external authority (the
+        // cluster orchestrator's request/reply wave).
         let (underloaded_bins, unfilled_want, granted) = match delegate.as_deref_mut() {
             Some(d) => {
                 // The delegate writes only bins with arrivals (see the
                 // `GrantDelegate` contract); `accept` is already 0
                 // everywhere (zeroed through last round's touched set).
+                self.hot_bins.clear();
+                for o in &self.owners[..owners.chunks()] {
+                    self.hot_bins.extend_from_slice(&o.hot);
+                }
                 let crashed = self
                     .faults
                     .as_ref()
@@ -355,26 +342,26 @@ impl<P: RoundProtocol> SimState<P> {
                     crashed,
                     &mut self.accept,
                 )?;
-                let t = self.touched_pass(protocol, &ctx, eff, plan, false);
+                let t = self.touched_pass(protocol, &ctx, eff, &owners, false);
                 (ub, uw, t.granted)
             }
-            None => self.grants(protocol, &ctx, eff, plan),
+            None => self.grants(protocol, &ctx, eff, plan, &owners),
         };
         if let Some(t) = timer.as_mut() {
             t.lap(Phase::Grant);
         }
 
-        // --- Phase 4: fused rank assignment + resolve + commit,
-        // chunk-local (parallel on a pool backend).
+        // --- Rank sweep (owners), ball-major resolve with commit routing
+        // (chunks), commit sweep (owners).
+        self.rank_sweep(eff, &owners, nchunks);
         {
             let shared = ResolveShared {
                 protocol,
                 ctx: &ctx,
                 active: &self.active,
-                accept: &self.accept,
-                loads_before: &self.loads_before,
-                loads: as_atomic_u32(&mut self.loads),
-                load_base: self.histogram.base(),
+                ranges,
+                ranks: DisjointIndexMut::new(&mut self.ranks),
+                loads: &self.loads,
                 assignment: self
                     .assignment
                     .as_mut()
@@ -392,6 +379,7 @@ impl<P: RoundProtocol> SimState<P> {
                 resolve_chunk(&shared, arena);
             });
         }
+        self.commit_sweep(eff, &owners, nchunks);
 
         self.next_active.clear();
         let mut committed = 0u64;
@@ -402,12 +390,15 @@ impl<P: RoundProtocol> SimState<P> {
             committed += arena.committed;
             wasted += arena.wasted;
             commit_msgs += arena.commit_msgs;
-            self.histogram.apply(&arena.lifts);
+        }
+        for o in &self.owners[..owners.chunks()] {
+            self.histogram.apply(&o.lifts);
         }
         self.histogram.settle();
         self.placed += committed;
         std::mem::swap(&mut self.active, &mut self.next_active);
 
+        let requests = requests as u64;
         let record = RoundRecord {
             round: ctx.round,
             active_before: ctx.active,
@@ -457,6 +448,76 @@ impl<P: RoundProtocol> SimState<P> {
         Ok(record)
     }
 
+    /// Run [`count_range`] over every owner range, one task per run of
+    /// ranges in `owners`.
+    fn count_sweep(&mut self, backend: Backend<'_>, owners: &Chunking, nchunks: usize, hot: bool) {
+        let n = self.counts.len();
+        let arenas = &self.scratch[..nchunks];
+        let counts = DisjointIndexMut::new(&mut self.counts);
+        let accept = DisjointIndexMut::new(&mut self.accept);
+        let blocks = DisjointIndexMut::new(self.touched.blocks_mut());
+        let tasks = DisjointIndexMut::new(&mut self.owners[..owners.chunks()]);
+        backend.run(owners.chunks(), |t| {
+            // SAFETY: one task per owner slot.
+            let task = unsafe { tasks.index_mut(t) };
+            task.hot.clear();
+            for r in owners.range(t) {
+                let bins = block_bins(n, r);
+                // SAFETY: owner tasks take disjoint runs of owner ranges,
+                // and each range owns its bins and its block.
+                let (counts, accept, block) = unsafe {
+                    (
+                        counts.slice_mut(bins.clone()),
+                        accept.slice_mut(bins.clone()),
+                        blocks.index_mut(r),
+                    )
+                };
+                let hot = hot.then_some(&mut task.hot);
+                count_range(arenas, r, bins.start as u32, counts, accept, block, hot);
+            }
+        });
+    }
+
+    /// Run [`rank_range`] over every owner range.
+    fn rank_sweep(&mut self, backend: Backend<'_>, owners: &Chunking, nchunks: usize) {
+        let n = self.counts.len();
+        let arenas = &self.scratch[..nchunks];
+        let counts = DisjointIndexMut::new(&mut self.counts);
+        let accept = &self.accept;
+        let ranks = DisjointIndexMut::new(&mut self.ranks);
+        backend.run(owners.chunks(), |t| {
+            for r in owners.range(t) {
+                let bins = block_bins(n, r);
+                // SAFETY: each range owns its bins; tasks take disjoint
+                // ranges.
+                let counts = unsafe { counts.slice_mut(bins.clone()) };
+                rank_range(arenas, r, counts, &accept[bins], &ranks);
+            }
+        });
+    }
+
+    /// Run [`commit_range`] over every owner range; each task's load
+    /// transitions land in its [`OwnerScratch::lifts`].
+    fn commit_sweep(&mut self, backend: Backend<'_>, owners: &Chunking, nchunks: usize) {
+        let n = self.loads.len();
+        let load_base = self.histogram.base();
+        let arenas = &self.scratch[..nchunks];
+        let ranks = &self.ranks;
+        let loads = DisjointIndexMut::new(&mut self.loads);
+        let tasks = DisjointIndexMut::new(&mut self.owners[..owners.chunks()]);
+        backend.run(owners.chunks(), |t| {
+            // SAFETY: one task per owner slot.
+            let task = unsafe { tasks.index_mut(t) };
+            task.lifts.clear();
+            for r in owners.range(t) {
+                // SAFETY: each range owns its bins; tasks take disjoint
+                // ranges.
+                let loads = unsafe { loads.slice_mut(block_bins(n, r)) };
+                commit_range(arenas, r, ranks, loads, load_base, &mut task.lifts);
+            }
+        });
+    }
+
     /// Local grant phase: `(underloaded bins, unfilled want, granted)`.
     ///
     /// With an idle want for every present load, one touched-bin pass
@@ -469,10 +530,11 @@ impl<P: RoundProtocol> SimState<P> {
         ctx: &RoundContext,
         backend: Backend<'_>,
         plan: ChunkPlan,
+        owners: &Chunking,
     ) -> (u32, u64, u64) {
         let (mut ub, mut uw, granted) = match self.histogram.idle_underload(protocol, ctx) {
             Some((idle_ub, idle_uw)) => {
-                let t = self.touched_pass(protocol, ctx, backend, plan, true);
+                let t = self.touched_pass(protocol, ctx, backend, owners, true);
                 (
                     idle_ub - t.idle_underloaded + t.underloaded,
                     idle_uw - t.idle_unfilled + t.unfilled,
@@ -481,7 +543,7 @@ impl<P: RoundProtocol> SimState<P> {
             }
             None => {
                 let (ub, uw) = self.full_grants(protocol, ctx, backend, plan);
-                let t = self.touched_pass(protocol, ctx, backend, plan, false);
+                let t = self.touched_pass(protocol, ctx, backend, owners, false);
                 (ub, uw, t.granted)
             }
         };
@@ -524,15 +586,15 @@ impl<P: RoundProtocol> SimState<P> {
         }
     }
 
-    /// Run [`touched_pass`] over the round's touched bins: serial, or
-    /// split by bitmap block over the pool when enough bins are touched.
-    /// `decide` makes the pass compute the grants itself.
+    /// Run [`touched_pass`] over the round's touched bins, one task per
+    /// run of owner ranges (blocks) in `owners`. `decide` makes the pass
+    /// compute the grants itself.
     fn touched_pass(
         &mut self,
         protocol: &P,
         ctx: &RoundContext,
         backend: Backend<'_>,
-        plan: ChunkPlan,
+        owners: &Chunking,
         decide: bool,
     ) -> TouchedTally {
         let shared = TouchedShared {
@@ -548,21 +610,15 @@ impl<P: RoundProtocol> SimState<P> {
                 .per_bin_received
                 .as_mut()
                 .map(|r| DisjointIndexMut::new(r.as_mut_slice())),
-            loads_before: P::NEEDS_COMMIT_CHOICE
-                .then(|| DisjointIndexMut::new(self.loads_before.as_mut_slice())),
         };
-        let blocks = self.touched.blocks();
-        match backend.pool() {
-            Some(pool) if self.hot_bins.len() >= plan.par_cutoff => pba_par::par_reduce(
-                pool,
-                blocks,
-                (plan.min_chunk / BLOCK_BINS).max(1),
-                TouchedTally::default,
-                |acc, r| acc.merge(touched_pass(&shared, r)),
-                TouchedTally::merge,
-            ),
-            _ => touched_pass(&shared, 0..blocks),
-        }
+        let tasks = DisjointIndexMut::new(&mut self.owners[..owners.chunks()]);
+        backend.run(owners.chunks(), |t| {
+            // SAFETY: one task per owner slot.
+            unsafe { tasks.index_mut(t) }.tally = touched_pass(&shared, owners.range(t));
+        });
+        self.owners[..owners.chunks()]
+            .iter()
+            .fold(TouchedTally::default(), |acc, o| acc.merge(o.tally))
     }
 }
 

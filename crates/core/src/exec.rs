@@ -15,26 +15,40 @@
 //!   ball through the fault session's admit/deliver filters.
 //!
 //! ```text
-//!             ┌─────────────────────── one round ───────────────────────┐
-//!   chunk 0 → │ gather+count │     │ grant   │ │ resolve+commit │      │
-//!   chunk 1 → │ gather+count │ scan│ grant   │ │ resolve+commit │ merge│
-//!   chunk k → │ gather+count │     │ grant   │ │ resolve+commit │      │
-//!             └─────────────────────────────────────────────────────────┘
-//!               parallel       serial  parallel    parallel       serial
-//!               (LaneScratch)  sparse  (touched    (LaneScratch)  O(m')
-//!                                      bins)
-//!
-//! Every per-bin pass is *sparse*. Each arena tracks the bins it touched
-//! this round, so the scan and the per-chunk count zeroing cost
-//! `O(Σ distinct bins touched)` instead of `O(chunks · n)`. The grant
-//! and its bookkeeping ([`touched_pass`]) walk only the round's touched
-//! bins, and the underload of idle bins comes from a bins-per-load
-//! histogram (see [`crate::sparse`]). Protocols whose idle want depends
-//! on the bin id keep a full grant pass ([`grant_slice`]).
+//!            ┌───────────────────────────── one round ─────────────────────────────┐
+//!  chunk 0 → │ gather+route │       │       │      │ resolve+mark │        │       │
+//!  chunk k → │ gather+route │       │       │      │ resolve+mark │        │       │
+//!  owner 0 → │              │ count │ grant │ rank │              │ commit │       │
+//!  owner j → │              │ count │ grant │ rank │              │ commit │ merge │
+//!            └─────────────────────────────────────────────────────────────────────┘
+//!              chunks of      owners of bin ranges  chunks          owners   serial
+//!              balls          (BLOCK_BINS = 2^16)   (balls)                  O(m')
 //! ```
 //!
-//! Each chunk writes exclusively into its own [`LaneScratch`] arena, owned
-//! by `SimState` and reused across rounds, so the steady-state round
+//! Each chunk of the active set gathers its balls' requests and stably
+//! partitions them by *owner range* — the [`crate::sparse::BLOCK_BINS`]
+//! bins of one touched-set block — into 2-byte in-range offsets
+//! ([`Routing`]). Each owner then works on its own bins only, walking
+//! the chunks' segments for its range in chunk order: it counts the
+//! arrivals and marks its touched block ([`count_range`]), the grant
+//! walks its touched bins ([`touched_pass`], or a delegate decides), and
+//! it ranks every request in reverse arrival order, which returns its
+//! `counts` to zero ([`rank_range`]). A ball-major resolve reads each
+//! request's rank back through the chunk's partition cursors, decides
+//! the ball's commits and marks each on its request's rank slot
+//! ([`resolve_chunk`]); the owners apply the marked commits with plain
+//! adds and tally the load transitions ([`commit_range`]). A commit that
+//! a redirect sends into another owner range is routed to its owner like
+//! a request. Owners take requests in chunk order and the partition is
+//! stable, so every bin sees the global arrival order: ranks, grants and
+//! commits are the same on every backend by construction, with no
+//! atomics and no serial pass over requests or bins. Per-round cost is
+//! `O(requests + touched bins + n / BLOCK_BINS)`; protocols whose idle
+//! want depends on the bin id keep a full grant pass ([`grant_slice`]).
+//!
+//! Each chunk writes exclusively into its own [`LaneScratch`] arena, and
+//! each owner task into its own [`OwnerScratch`], both owned by
+//! `SimState` and reused across rounds, so the steady-state round
 //! performs **zero heap allocations** (pinned by
 //! `tests/alloc_steady_state.rs`). Cross-array per-ball writes (protocol
 //! state, fault state, assignment, message counts) go through
@@ -42,14 +56,13 @@
 //! debug builds by a [`DisjointClaims`] table.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 use pba_par::{Chunking, DisjointClaims, DisjointIndexMut, ThreadPool};
 
 use crate::faults::{BallFault, FaultCtx, FaultRecord};
 use crate::protocol::{BallContext, ChoiceSink, CommitOption, RoundContext, RoundProtocol};
 use crate::rng::RoundStreams;
-use crate::sparse::TouchedBins;
+use crate::sparse::{TouchedBins, TouchedBlock, BLOCK_BINS, BLOCK_SHIFT};
 
 /// Default minimum number of active balls assigned to one parallel chunk.
 pub const DEFAULT_MIN_CHUNK: usize = 16 * 1024;
@@ -93,10 +106,6 @@ pub struct ChunkPlan {
     /// Minimum active items for a round to use the parallel backend.
     pub par_cutoff: usize,
 }
-
-/// Legacy name for [`ChunkPlan`], kept so downstream code and older
-/// call sites keep compiling.
-pub type ExecTuning = ChunkPlan;
 
 impl Default for ChunkPlan {
     fn default() -> Self {
@@ -317,6 +326,80 @@ impl Admission for Faulty<'_> {
     }
 }
 
+/// Make `buf` at least `len` long. Callers overwrite every slot they
+/// later read, so a growing buffer is replaced by a fresh zeroed one: the
+/// allocator hands out zeroed pages without a serial fill.
+pub(crate) fn ensure_len<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+    if buf.len() < len {
+        *buf = vec![T::default(); len];
+    }
+}
+
+/// One chunk's items (requests or commits, as bin ids) stably partitioned
+/// by owner range: range `r`'s items are `offs[range(r)]`, as in-range
+/// offsets (`bin % BLOCK_BINS`), in input order.
+///
+/// Fill it with [`Routing::reset`], one [`Routing::count`] per item, then
+/// [`Routing::route`] over the same items in the same order.
+pub(crate) struct Routing {
+    /// After [`Routing::route`], `starts[r]..starts[r + 1]` is range `r`'s
+    /// segment of `offs`. While counting, `starts[r + 2]` counts range `r`.
+    starts: Vec<usize>,
+    /// In-range offsets, grouped by range; only the first
+    /// `starts[ranges]` entries belong to this round.
+    offs: Vec<u16>,
+}
+
+impl Routing {
+    fn new() -> Self {
+        Self {
+            starts: Vec::new(),
+            offs: Vec::new(),
+        }
+    }
+
+    /// Start counting items over `ranges` owner ranges.
+    fn reset(&mut self, ranges: usize) {
+        self.starts.clear();
+        self.starts.resize(ranges + 2, 0);
+    }
+
+    #[inline]
+    fn count(&mut self, bin: u32) {
+        self.starts[(bin >> BLOCK_SHIFT) as usize + 2] += 1;
+    }
+
+    /// Partition `items` (the counted bins, in counting order).
+    fn route(&mut self, items: &[u32]) {
+        // Prefix over the shifted counts: `starts[r + 1]` becomes range
+        // `r`'s start, and advances to its end as the scatter fills it.
+        let mut sum = 0;
+        for s in &mut self.starts[2..] {
+            sum += *s;
+            *s = sum;
+        }
+        ensure_len(&mut self.offs, items.len());
+        let offs = &mut self.offs[..items.len()];
+        for &bin in items {
+            let pos = &mut self.starts[(bin >> BLOCK_SHIFT) as usize + 1];
+            offs[*pos] = (bin as usize % BLOCK_BINS) as u16;
+            *pos += 1;
+        }
+    }
+
+    /// Range `r`'s segment of [`Routing::offs`].
+    #[inline]
+    fn range(&self, r: usize) -> Range<usize> {
+        self.starts[r]..self.starts[r + 1]
+    }
+
+    /// Range `r`'s in-range offsets, in input order.
+    #[inline]
+    fn segment(&self, r: usize) -> &[u16] {
+        &self.offs[self.range(r)]
+    }
+}
+
 /// One chunk's reusable scratch arena. `SimState` owns one per chunk slot
 /// and reuses them across rounds; after the warm-up round every buffer has
 /// reached steady-state capacity and rounds allocate nothing.
@@ -330,20 +413,24 @@ impl Admission for Faulty<'_> {
 pub(crate) struct LaneScratch {
     /// First index into `active` covered by this chunk this round.
     pub(crate) start: usize,
+    /// This chunk's first position in the round's request order: its
+    /// requests' rank slots sit at `req_base +` their routed position.
+    pub(crate) req_base: usize,
     /// Flat per-request bin ids, ball-major within the chunk.
     pub(crate) bins: Vec<u32>,
     /// Per-ball delivered-request counts, aligned with `active[start..]`.
     pub(crate) degrees: Vec<u32>,
-    /// Per-bin arrival counts of this chunk; the serial exclusive scan
-    /// rewrites the touched entries into the chunk's per-bin global
-    /// arrival-rank bases.
-    pub(crate) counts: Vec<u32>,
-    /// Bins this chunk touched this round, in first-arrival order, each
-    /// exactly once. Everything per-bin on this arena is sparse through
-    /// this list: zeroing `counts` at round start, the exclusive scan,
-    /// and the rank bases resolve reads — all `O(distinct bins touched)`
-    /// instead of `O(n)` per chunk.
-    pub(crate) touched: Vec<u32>,
+    /// The chunk's requests by owner range.
+    routing: Routing,
+    /// Resolve's per-range read positions into the chunk's ranks.
+    cursor: Vec<usize>,
+    /// Commits that cannot be marked on their request's rank slot (see
+    /// [`commit_at`]), by owner range.
+    spills: Routing,
+    /// The spilled commits' target bins, in decision order.
+    spill_bins: Vec<u32>,
+    /// The rank-slot position of each entry of `options`.
+    option_pos: Vec<usize>,
     /// Staging buffer for pre-filter choices on the faulty path.
     raw: Vec<u32>,
     /// Commit options for `NEEDS_COMMIT_CHOICE` protocols.
@@ -351,9 +438,6 @@ pub(crate) struct LaneScratch {
     /// Selected option indices for `NEEDS_COMMIT_CHOICE` protocols (one
     /// entry per replica the ball commits; empty = the ball declines).
     picks: Vec<u32>,
-    /// This chunk's load transitions: `lifts[i]` commits found their bin
-    /// at load `load_base + i` (folded into the engine's load histogram).
-    pub(crate) lifts: Vec<u32>,
     /// Balls of this chunk that did not commit this round.
     pub(crate) still_active: Vec<u32>,
     /// First out-of-range bin a protocol emitted in this chunk, if any.
@@ -371,14 +455,17 @@ impl LaneScratch {
     pub(crate) fn new() -> Self {
         Self {
             start: 0,
+            req_base: 0,
             bins: Vec::new(),
             degrees: Vec::new(),
-            counts: Vec::new(),
-            touched: Vec::new(),
+            routing: Routing::new(),
+            cursor: Vec::new(),
+            spills: Routing::new(),
+            spill_bins: Vec::new(),
+            option_pos: Vec::new(),
             raw: Vec::new(),
             options: Vec::new(),
             picks: Vec::new(),
-            lifts: Vec::new(),
             still_active: Vec::new(),
             out_of_range: None,
             faults: FaultRecord::default(),
@@ -387,29 +474,31 @@ impl LaneScratch {
             commit_msgs: 0,
         }
     }
+}
 
-    /// Reset for a new round's gather over `range_start..` with `n` bins.
-    fn begin_gather(&mut self, range_start: usize, n: usize) {
-        self.start = range_start;
-        self.bins.clear();
-        self.degrees.clear();
-        if self.counts.len() != n {
-            // Only ever runs on the first round a chunk slot is used (or if
-            // the bin count changed, which it cannot mid-run). A fresh
-            // resize is all-zero, so the touched list can start empty.
-            self.counts.clear();
-            self.counts.resize(n, 0);
-            self.touched.clear();
+/// One owner task's reusable scratch: the task covers a contiguous run of
+/// owner ranges in every owner sweep of a round. Cache-line aligned like
+/// [`LaneScratch`], for the concurrently written `tally`.
+#[repr(align(64))]
+pub(crate) struct OwnerScratch {
+    /// Load transitions of the commits this task applied: `lifts[i]`
+    /// commits found their bin at load `load_base + i` (folded into the
+    /// engine's load histogram).
+    pub(crate) lifts: Vec<u32>,
+    /// The task's touched bins in ascending order, listed only for a
+    /// grant delegate.
+    pub(crate) hot: Vec<u32>,
+    /// The task's share of the touched-bin pass.
+    pub(crate) tally: TouchedTally,
+}
+
+impl OwnerScratch {
+    pub(crate) fn new() -> Self {
+        Self {
+            lifts: Vec::new(),
+            hot: Vec::new(),
+            tally: TouchedTally::default(),
         }
-        // Sparse zero: after last round, this arena's `counts` are nonzero
-        // only at bins on its touched list (counting, the scan's rank-base
-        // rewrite, and resolve's rank bumps all stay within it).
-        for &b in &self.touched {
-            self.counts[b as usize] = 0;
-        }
-        self.touched.clear();
-        self.out_of_range = None;
-        self.faults = FaultRecord::default();
     }
 }
 
@@ -422,6 +511,8 @@ pub(crate) struct GatherShared<'a, P: RoundProtocol> {
     /// two — bit-identical to `ball_stream` by construction.
     pub streams: RoundStreams,
     pub n_bins: u32,
+    /// Owner ranges of the bin space: `n_bins.div_ceil(BLOCK_BINS)`.
+    pub ranges: usize,
     pub active: &'a [u32],
     /// Per-ball protocol state, written disjointly (one chunk per ball).
     pub states: DisjointIndexMut<'a, P::BallState>,
@@ -429,17 +520,23 @@ pub(crate) struct GatherShared<'a, P: RoundProtocol> {
     pub claims: &'a DisjointClaims,
 }
 
-/// THE gather kernel: one chunk's choice emission, admission filtering,
-/// and chunk-local arrival counting. Every executor/fault combination runs
-/// this exact code; `A::PASSTHROUGH` only switches whether choices are
-/// staged through the filter buffer.
+/// THE gather kernel: one chunk's choice emission and admission
+/// filtering, then the stable partition of its requests by owner range.
+/// Every executor/fault combination runs this exact code;
+/// `A::PASSTHROUGH` only switches whether choices are staged through the
+/// filter buffer.
 pub(crate) fn gather_chunk<P: RoundProtocol, A: Admission>(
     shared: &GatherShared<'_, P>,
     admission: &A,
     range: Range<usize>,
     scratch: &mut LaneScratch,
 ) {
-    scratch.begin_gather(range.start, shared.n_bins as usize);
+    scratch.start = range.start;
+    scratch.bins.clear();
+    scratch.degrees.clear();
+    scratch.routing.reset(shared.ranges);
+    scratch.out_of_range = None;
+    scratch.faults = FaultRecord::default();
     let round = shared.ctx.round;
     for &ball in &shared.active[range] {
         shared.claims.claim(ball as usize);
@@ -453,8 +550,8 @@ pub(crate) fn gather_chunk<P: RoundProtocol, A: Admission>(
             continue;
         }
         let mut rng = shared.streams.ball(ball as u64);
+        let before = scratch.bins.len();
         if A::PASSTHROUGH {
-            let before = scratch.bins.len();
             let mut sink = ChoiceSink::new(&mut scratch.bins, shared.n_bins);
             shared.protocol.ball_choices(
                 shared.ctx,
@@ -466,7 +563,6 @@ pub(crate) fn gather_chunk<P: RoundProtocol, A: Admission>(
             if let Some(b) = sink.out_of_range() {
                 scratch.out_of_range.get_or_insert(b);
             }
-            scratch.degrees.push((scratch.bins.len() - before) as u32);
         } else {
             scratch.raw.clear();
             let mut sink = ChoiceSink::new(&mut scratch.raw, shared.n_bins);
@@ -482,16 +578,14 @@ pub(crate) fn gather_chunk<P: RoundProtocol, A: Admission>(
             }
             admission.deliver(round, ball, &mut scratch.raw, &mut scratch.faults);
             scratch.bins.extend_from_slice(&scratch.raw);
-            scratch.degrees.push(scratch.raw.len() as u32);
         }
-    }
-    for &b in &scratch.bins {
-        let slot = &mut scratch.counts[b as usize];
-        if *slot == 0 {
-            scratch.touched.push(b);
+        // Count the ball's requests while they are in cache.
+        for &b in &scratch.bins[before..] {
+            scratch.routing.count(b);
         }
-        *slot += 1;
+        scratch.degrees.push((scratch.bins.len() - before) as u32);
     }
+    scratch.routing.route(&scratch.bins);
 }
 
 /// The bin-side decision for one bin: `(clamped accept, want)`. Shared
@@ -525,9 +619,6 @@ pub(crate) struct TouchedShared<'a, P: RoundProtocol> {
     pub accept: DisjointIndexMut<'a, u32>,
     /// Per-bin received-message counters, if tracked.
     pub received: Option<DisjointIndexMut<'a, u64>>,
-    /// Round-start load snapshot for `NEEDS_COMMIT_CHOICE` protocols;
-    /// written at touched bins, the only ones resolve reads.
-    pub loads_before: Option<DisjointIndexMut<'a, u32>>,
 }
 
 /// One task's tallies from [`touched_pass`].
@@ -559,9 +650,9 @@ impl TouchedTally {
 /// THE per-bin kernel of a round: one ascending walk over the touched
 /// bins (nonzero arrivals) of the touched groups in `blocks` that
 /// decides each bin's grant (when [`TouchedShared::idle`] is set), sums
-/// the granted slots, credits the received messages, and snapshots
-/// `loads_before`. A bin no request reached has accept = taken = 0 by
-/// construction, so nothing here needs the idle bins.
+/// the granted slots and credits the received messages. A bin no request
+/// reached has accept = taken = 0 by construction, so nothing here needs
+/// the idle bins.
 pub(crate) fn touched_pass<P: RoundProtocol>(
     shared: &TouchedShared<'_, P>,
     blocks: Range<usize>,
@@ -602,10 +693,6 @@ pub(crate) fn touched_pass<P: RoundProtocol>(
             if let Some(received) = &shared.received {
                 // SAFETY: as above — one task per bin.
                 unsafe { *received.index_mut(b) += u64::from(arrivals + taken) };
-            }
-            if let Some(before) = &shared.loads_before {
-                // SAFETY: as above — one task per bin.
-                unsafe { *before.index_mut(b) = shared.loads[b] };
             }
         }
     });
@@ -669,59 +756,194 @@ pub fn grant_slice<P: RoundProtocol>(
     (underloaded, unfilled)
 }
 
+/// THE count sweep of owner range `r` (bins `lo..lo + counts.len()`,
+/// whose `counts`, `accept` and touched `block` this task owns): zero
+/// last round's grants at the block's touched groups, count the range's
+/// arrivals from every chunk and mark their groups, and, for a grant
+/// delegate, list the touched bins in ascending order. `counts` is zero
+/// on entry: the previous round's rank sweep counted it back down.
+pub(crate) fn count_range(
+    arenas: &[LaneScratch],
+    r: usize,
+    lo: u32,
+    counts: &mut [u32],
+    accept: &mut [u32],
+    block: &mut TouchedBlock,
+    hot: Option<&mut Vec<u32>>,
+) {
+    block.for_each_group(accept.len(), |g| accept[g].fill(0));
+    block.clear();
+    for arena in arenas {
+        for &off in arena.routing.segment(r) {
+            counts[off as usize] += 1;
+            block.insert(off as usize);
+        }
+    }
+    if let Some(hot) = hot {
+        block.for_each_group(counts.len(), |g| {
+            for b in g {
+                if counts[b] != 0 {
+                    hot.push(lo + b as u32);
+                }
+            }
+        });
+    }
+}
+
+/// Rank-slot value of a request its bin rejected.
+const REJECTED: u32 = u32::MAX;
+
+/// Rank-slot marks of an accepted request its ball committed through,
+/// written by resolve for the commit sweep: `COMMITTED + off` commits one
+/// load unit at in-range offset `off` of the request's owner range (the
+/// request's own bin, or a redirect target in the same range). No rank
+/// reaches the marks: a bin would need over `2^32 - 2^16 - 2` arrivals.
+const COMMITTED: u32 = REJECTED - 1 - BLOCK_BINS as u32;
+
+/// THE rank sweep of owner range `r`: walk the range's requests in
+/// reverse arrival order (chunks in reverse, each segment backwards),
+/// counting `counts` down, so each request's count is its global arrival
+/// rank — the number of earlier requests to its bin — and `counts` ends
+/// at zero. A request's slot in `ranks` (at its chunk's `req_base` plus
+/// its routed position) gets the rank if it is below the bin's grant —
+/// the first-`grant`-arrivals rule — and [`REJECTED`] otherwise.
+pub(crate) fn rank_range(
+    arenas: &[LaneScratch],
+    r: usize,
+    counts: &mut [u32],
+    accept: &[u32],
+    ranks: &DisjointIndexMut<'_, u32>,
+) {
+    for arena in arenas.iter().rev() {
+        let seg = arena.routing.range(r);
+        // SAFETY: chunks own disjoint position ranges (`req_base` is a
+        // prefix sum of their request counts), and the owner ranges'
+        // segments partition each chunk's; owner tasks take disjoint
+        // ranges.
+        let out = unsafe { ranks.slice_mut(arena.req_base + seg.start..arena.req_base + seg.end) };
+        for (rank, &off) in out.iter_mut().zip(&arena.routing.offs[seg]).rev() {
+            let count = &mut counts[off as usize];
+            *count -= 1;
+            *rank = if *count < accept[off as usize] {
+                *count
+            } else {
+                REJECTED
+            };
+        }
+    }
+}
+
+/// THE commit sweep of owner range `r`: apply every chunk's commits to
+/// the range's `loads` with plain adds — the [`COMMITTED`] marks on its
+/// requests' rank slots, then the chunk's spilled commits — and tally
+/// each commit's load transition in `lifts` (relative to `load_base`,
+/// the round-start minimum load).
+pub(crate) fn commit_range(
+    arenas: &[LaneScratch],
+    r: usize,
+    ranks: &[u32],
+    loads: &mut [u32],
+    load_base: u32,
+    lifts: &mut Vec<u32>,
+) {
+    let mut commit = |off: u16| {
+        let load = &mut loads[off as usize];
+        let from = (*load - load_base) as usize;
+        *load += 1;
+        if from >= lifts.len() {
+            lifts.resize(from + 1, 0);
+        }
+        lifts[from] += 1;
+    };
+    for arena in arenas {
+        let seg = arena.routing.range(r);
+        for &rank in &ranks[arena.req_base + seg.start..arena.req_base + seg.end] {
+            let off = rank.wrapping_sub(COMMITTED);
+            if off < BLOCK_BINS as u32 {
+                commit(off as u16);
+            }
+        }
+        for &off in arena.spills.segment(r) {
+            commit(off);
+        }
+    }
+}
+
+/// Commit one load unit at `target` through the request at rank slot
+/// `pos`, which bin `bin` accepted: mark the slot for the commit sweep,
+/// or, when the target lies in another owner range (a redirect across a
+/// range boundary) or the slot already carries a mark, route the commit
+/// to the chunk's spill list.
+#[inline]
+fn commit_at(
+    ranks: &mut [u32],
+    pos: usize,
+    bin: u32,
+    target: u32,
+    spills: &mut Routing,
+    spill_bins: &mut Vec<u32>,
+) {
+    if target >> BLOCK_SHIFT == bin >> BLOCK_SHIFT && ranks[pos] < COMMITTED {
+        ranks[pos] = COMMITTED + target % BLOCK_BINS as u32;
+    } else {
+        spills.count(target);
+        spill_bins.push(target);
+    }
+}
+
 /// Immutable context shared by every resolve chunk of a round.
 pub(crate) struct ResolveShared<'a, P: RoundProtocol> {
     pub protocol: &'a P,
     pub ctx: &'a RoundContext,
     pub active: &'a [u32],
-    pub accept: &'a [u32],
-    /// Round-start load snapshot (populated only for `NEEDS_COMMIT_CHOICE`,
-    /// and only at touched bins — every bin resolve reads).
-    pub loads_before: &'a [u32],
-    /// Live loads as atomics: commit increments are commutative, so the
-    /// final values are schedule-independent.
-    pub loads: &'a [AtomicU32],
-    /// The round-start minimum load, the origin of each arena's `lifts`.
-    pub load_base: u32,
+    /// Owner ranges of the bin space.
+    pub ranges: usize,
+    /// The rank sweep's output: per routed request, its arrival rank if
+    /// accepted, [`REJECTED`] if not. Each chunk marks its commits in its
+    /// own region.
+    pub ranks: DisjointIndexMut<'a, u32>,
+    /// Round-start loads: commits land only after every ball decided.
+    pub loads: &'a [u32],
     /// Final placements (one chunk per ball id), if tracked.
     pub assignment: Option<DisjointIndexMut<'a, u32>>,
     /// Per-ball sent-message counters (one chunk per ball id), if tracked.
     pub sent: Option<DisjointIndexMut<'a, u32>>,
 }
 
-/// THE resolve/commit kernel: assign each of the chunk's requests its
-/// global arrival rank (chunk rank base + running chunk-local count),
-/// accept iff rank < grant — exactly the first-`grant`-arrivals rule — and
-/// commit at most one accepted bin per ball.
+/// THE resolve kernel: walk the chunk's balls in order, read each
+/// request's rank back through the chunk's per-range cursors (the
+/// partition is stable, so a range's requests come back in the order
+/// they were routed), and commit each ball to at most one accepted bin
+/// (plus its replicas) with [`commit_at`].
 pub(crate) fn resolve_chunk<P: RoundProtocol>(
     shared: &ResolveShared<'_, P>,
     scratch: &mut LaneScratch,
 ) {
     let LaneScratch {
         start,
+        req_base,
         bins,
         degrees,
-        counts,
+        routing,
+        cursor,
+        spills,
+        spill_bins,
         options,
+        option_pos,
         picks,
-        lifts,
         still_active,
         committed,
         wasted,
         commit_msgs,
         ..
     } = scratch;
-    lifts.clear();
-    // Every commit lands one load unit through `fetch_add`, whose return
-    // value is the bin's load before it: tally the transition.
-    let mut commit_to = |bin: u32| {
-        let from = (shared.loads[bin as usize].fetch_add(1, Ordering::Relaxed) - shared.load_base)
-            as usize;
-        if from >= lifts.len() {
-            lifts.resize(from + 1, 0);
-        }
-        lifts[from] += 1;
-    };
+    // SAFETY: chunks own disjoint request regions (`req_base` is a prefix
+    // sum of their request counts).
+    let ranks = unsafe { shared.ranks.slice_mut(*req_base..*req_base + bins.len()) };
+    cursor.clear();
+    cursor.extend_from_slice(&routing.starts[..shared.ranges]);
+    spills.reset(shared.ranges);
+    spill_bins.clear();
     still_active.clear();
     *committed = 0;
     *wasted = 0;
@@ -729,27 +951,32 @@ pub(crate) fn resolve_chunk<P: RoundProtocol>(
     let mut req_idx = 0usize;
     for (k, &degree) in degrees.iter().enumerate() {
         let ball = shared.active[*start + k];
-        let mut commit: Option<u32> = None;
+        // (rank slot, accepting bin, target) of the primary commit.
+        let mut commit: Option<(usize, u32, u32)> = None;
         let mut accepts = 0u32;
         if P::NEEDS_COMMIT_CHOICE {
             options.clear();
+            option_pos.clear();
         }
         for _ in 0..degree {
             let bin = bins[req_idx];
             req_idx += 1;
-            let b = bin as usize;
-            let rank = counts[b];
-            counts[b] = rank + 1;
-            if rank < shared.accept[b] {
+            let next = &mut cursor[(bin >> BLOCK_SHIFT) as usize];
+            let pos = *next;
+            *next += 1;
+            let rank = ranks[pos];
+            if rank != REJECTED {
                 accepts += 1;
                 if P::NEEDS_COMMIT_CHOICE {
                     options.push(CommitOption {
                         bin,
                         slot: rank,
-                        load_before: shared.loads_before[b],
+                        load_before: shared.loads[bin as usize],
                     });
+                    option_pos.push(pos);
                 } else if commit.is_none() {
-                    commit = Some(shared.protocol.redirect(shared.ctx, bin, rank));
+                    let target = shared.protocol.redirect(shared.ctx, bin, rank);
+                    commit = Some((pos, bin, target));
                 } else {
                     *wasted += 1;
                 }
@@ -761,18 +988,19 @@ pub(crate) fn resolve_chunk<P: RoundProtocol>(
                 .protocol
                 .select_commits(shared.ctx, BallContext { ball }, options, picks);
             // The first pick is the ball's primary commit (recorded in the
-            // assignment and counted below); replicas beyond it land their
-            // load unit here. An empty pick set declines the round: every
-            // acceptance is wasted and the ball stays active.
+            // assignment and counted below); replicas beyond it commit
+            // their load unit here. An empty pick set declines the round:
+            // every acceptance is wasted and the ball stays active.
             for (i, &p) in picks.iter().enumerate() {
-                let chosen = options[(p as usize).min(options.len() - 1)];
+                let j = (p as usize).min(options.len() - 1);
+                let chosen = options[j];
                 let target = shared
                     .protocol
                     .redirect(shared.ctx, chosen.bin, chosen.slot);
                 if i == 0 {
-                    commit = Some(target);
+                    commit = Some((option_pos[j], chosen.bin, target));
                 } else {
-                    commit_to(target);
+                    commit_at(ranks, option_pos[j], chosen.bin, target, spills, spill_bins);
                 }
             }
             *wasted += (options.len() - picks.len().min(options.len())) as u64;
@@ -786,8 +1014,8 @@ pub(crate) fn resolve_chunk<P: RoundProtocol>(
                 *sent.index_mut(ball as usize) += degree + accepts;
             }
         }
-        if let Some(target) = commit {
-            commit_to(target);
+        if let Some((pos, bin, target)) = commit {
+            commit_at(ranks, pos, bin, target, spills, spill_bins);
             *committed += 1;
             if let Some(assignment) = &shared.assignment {
                 // SAFETY: as above — one chunk per ball id.
@@ -799,15 +1027,18 @@ pub(crate) fn resolve_chunk<P: RoundProtocol>(
             still_active.push(ball);
         }
     }
+    spills.route(spill_bins);
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU32, Ordering};
+
     use super::*;
 
     #[test]
     fn tuning_defaults_match_constants() {
-        let t = ExecTuning::default();
+        let t = ChunkPlan::default();
         assert_eq!(t.min_chunk, DEFAULT_MIN_CHUNK);
         assert_eq!(t.par_cutoff, DEFAULT_PAR_CUTOFF);
         assert_eq!(Tuning::default(), Tuning::Auto);

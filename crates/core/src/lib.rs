@@ -78,7 +78,7 @@ pub use allocation::Allocation;
 pub use binstate::BinState;
 pub use delegate::GrantDelegate;
 pub use error::{CoreError, Result};
-pub use exec::{Backend, ChunkPlan, ExecTuning, Tuning, DEFAULT_MIN_CHUNK, DEFAULT_PAR_CUTOFF};
+pub use exec::{Backend, ChunkPlan, Tuning, DEFAULT_MIN_CHUNK, DEFAULT_PAR_CUTOFF};
 pub use faults::{FaultPlan, FaultRecord, FaultStats, StragglerSpec};
 pub use load::LoadStats;
 pub use messages::{MessageStats, MessageTracking};

@@ -42,14 +42,16 @@ pub const PHASES: usize = 4;
 /// The four phases of one synchronous round, shared by both executors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Balls draw their bin choices (RNG + protocol `ball_choices`).
+    /// Balls draw their bin choices (RNG + protocol `ball_choices`), and
+    /// each chunk routes its requests by owner bin range.
     Gather = 0,
-    /// Per-bin arrival counting, plus (parallel executor) the serial
-    /// exclusive scan that assigns global arrival ranks.
+    /// Per-bin arrival counting by each bin range's owner.
     CountScan = 1,
-    /// Bins decide grants (`bin_grant` over all bins).
+    /// Bins decide grants (`bin_grant` at the touched bins, or over all
+    /// bins for a protocol without an idle want).
     Grant = 2,
-    /// Acceptance resolution, commits, and round bookkeeping.
+    /// Arrival ranking, acceptance resolution, commits, and round
+    /// bookkeeping.
     ResolveCommit = 3,
 }
 

@@ -407,7 +407,7 @@ impl Simulator {
 
     /// Like [`Simulator::run_mut`], but routing every round's grant phase
     /// through `delegate` (see [`GrantDelegate`]): the engine still
-    /// gathers choices, scans arrival ranks, resolves, and commits
+    /// gathers choices, ranks arrivals, resolves, and commits
     /// locally, while the bin-side accept decision is made externally —
     /// the seam cluster mode (`pba-cluster`) distributes over shard
     /// processes. With `None` this is exactly [`Simulator::run_mut`].

@@ -1,14 +1,14 @@
 //! Sparse per-round bookkeeping: the state that lets a round's bin-side
 //! work cost `O(requests + touched bins)` instead of `O(n)`.
 //!
-//! * [`TouchedBins`] — the round's touched bins as a bitmap of 16-bin
-//!   groups with a one-bit-per-word summary, walked in ascending bin
+//! * [`TouchedBins`] — the round's touched bins as marks on 16-bin
+//!   groups with a summary mark per 64 groups, walked in ascending bin
 //!   order. Ascending order keeps the single full-width round of a dense
 //!   run streaming through memory, and the summary keeps a sparse
 //!   round's walk from scanning every empty word.
 //! * [`LoadHistogram`] — bins per load, kept in step with the commits
-//!   themselves (each resolve arena tallies the load transitions its
-//!   `fetch_add`s report). It yields the max load and, through
+//!   themselves (each owner of a bin range tallies the load transitions
+//!   of the commits it applies). It yields the max load and, through
 //!   [`RoundProtocol::idle_want`], the underload of every bin no request
 //!   reached — the only round statistics that depend on idle bins.
 
@@ -19,57 +19,105 @@ use crate::protocol::{RoundContext, RoundProtocol};
 /// Bins per group: one 64-byte cache line of a per-bin `u32` array.
 pub(crate) const GROUP_BINS: usize = 16;
 
-/// Bins covered by one summary word: 64 words of 64 groups.
+/// Bins covered by one [`TouchedBlock`]: 64 words of 64 groups. This is also
+/// the round kernel's owner range (see [`crate::exec`]): an in-range bin
+/// offset fits in a `u16`.
 pub(crate) const BLOCK_BINS: usize = 64 * 64 * GROUP_BINS;
 
+/// `bin >> BLOCK_SHIFT` is the bin's block (owner range).
+pub(crate) const BLOCK_SHIFT: u32 = BLOCK_BINS.trailing_zeros();
+
+const _: () = assert!(BLOCK_BINS == 1 << 16, "in-range offsets are u16");
+
 /// The groups of [`GROUP_BINS`] bins that a round's requests reached,
-/// walked in ascending order in `O(groups + n / 65536)`.
+/// walked in ascending order in `O(touched groups + n / 65536)`.
 ///
 /// The set records groups, not bins: a caller finds the touched bins of
-/// a group by their nonzero arrival counts, which it reads anyway. One
-/// bit per cache line of counts keeps the set small enough to stay in
-/// cache while the scan marks it (n/128 bytes), and a walk reads no line
-/// of counts it would not read per bin.
+/// a group by their nonzero arrival counts, which it reads anyway. It is
+/// stored as one [`TouchedBlock`] per [`BLOCK_BINS`] bins, so each owner
+/// range of the round kernel marks and clears its own block.
 pub(crate) struct TouchedBins {
     n: usize,
-    /// Bit `g % 64` of word `g / 64` is set iff group `g` was touched.
-    groups: Vec<u64>,
-    /// Bit `w % 64` of summary word `w / 64` is set iff `groups[w] != 0`.
-    summary: Vec<u64>,
+    blocks: Vec<TouchedBlock>,
 }
 
-impl TouchedBins {
-    pub(crate) fn new(n: usize) -> Self {
-        let words = n.div_ceil(GROUP_BINS).div_ceil(64);
-        Self {
-            n,
-            groups: vec![0; words],
-            summary: vec![0; words.div_ceil(64)],
-        }
-    }
+/// Groups per summary word of a [`TouchedBlock`].
+const WORD_GROUPS: usize = 64;
 
+/// The touched groups of one block of [`BLOCK_BINS`] bins, as one byte
+/// per group (one per cache line of a per-bin `u32` array) and one byte
+/// per word of 64 groups (n/16 bytes in all). Marking is two plain
+/// stores: a bitmap's read-modify-write would chain every arrival at a
+/// hot word behind the previous one.
+#[derive(Clone, Copy)]
+pub(crate) struct TouchedBlock {
+    /// `words[w] != 0` iff some group of word `w` is marked.
+    words: [u8; BLOCK_BINS / GROUP_BINS / WORD_GROUPS],
+    /// `groups[g] != 0` iff the block's group `g` was touched.
+    groups: [u8; BLOCK_BINS / GROUP_BINS],
+}
+
+impl TouchedBlock {
+    const EMPTY: Self = Self {
+        words: [0; BLOCK_BINS / GROUP_BINS / WORD_GROUPS],
+        groups: [0; BLOCK_BINS / GROUP_BINS],
+    };
+
+    /// Mark the group of in-block bin offset `off`.
     #[inline]
-    pub(crate) fn insert(&mut self, bin: u32) {
-        let g = bin as usize / GROUP_BINS;
-        self.groups[g / 64] |= 1 << (g % 64);
-        self.summary[g / (64 * 64)] |= 1 << (g / 64 % 64);
+    pub(crate) fn insert(&mut self, off: usize) {
+        let g = off / GROUP_BINS;
+        self.groups[g] = 1;
+        self.words[g / WORD_GROUPS] = 1;
     }
 
-    /// Empty the set: `O(touched groups + n / 65536)`.
-    pub(crate) fn clear(&mut self) {
-        for (s, summary) in self.summary.iter_mut().enumerate() {
-            let mut bits = std::mem::take(summary);
-            while bits != 0 {
-                self.groups[s * 64 + bits.trailing_zeros() as usize] = 0;
-                bits &= bits - 1;
+    /// Call `f` on the in-block offset range of every touched group, in
+    /// ascending order; `len` is the block's bin count (less than
+    /// [`BLOCK_BINS`] only for the last block).
+    #[inline]
+    pub(crate) fn for_each_group(&self, len: usize, mut f: impl FnMut(Range<usize>)) {
+        for (w, _) in self.words.iter().enumerate().filter(|(_, &m)| m != 0) {
+            let word = &self.groups[w * WORD_GROUPS..(w + 1) * WORD_GROUPS];
+            for (i, lane) in word.chunks_exact(8).enumerate() {
+                // Eight group bytes at a time; each set byte is one group.
+                let mut bytes = u64::from_le_bytes(lane.try_into().expect("8 bytes"));
+                while bytes != 0 {
+                    let g = w * WORD_GROUPS + i * 8 + bytes.trailing_zeros() as usize / 8;
+                    bytes &= !(0xff << (bytes.trailing_zeros() / 8 * 8));
+                    let lo = g * GROUP_BINS;
+                    f(lo..(lo + GROUP_BINS).min(len));
+                }
             }
         }
     }
 
-    /// Number of summary blocks ([`BLOCK_BINS`] bins each) — the unit
-    /// callers split the walk into.
+    /// Empty the block: `O(64 + touched words · 64)`.
+    pub(crate) fn clear(&mut self) {
+        for (w, mark) in self.words.iter_mut().enumerate() {
+            if std::mem::take(mark) != 0 {
+                self.groups[w * WORD_GROUPS..(w + 1) * WORD_GROUPS].fill(0);
+            }
+        }
+    }
+}
+
+impl TouchedBins {
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            n,
+            blocks: vec![TouchedBlock::EMPTY; n.div_ceil(BLOCK_BINS)],
+        }
+    }
+
+    /// Number of blocks ([`BLOCK_BINS`] bins each) — the unit callers
+    /// split the walk into.
     pub(crate) fn blocks(&self) -> usize {
-        self.summary.len()
+        self.blocks.len()
+    }
+
+    /// The blocks, for owners that mark and clear their own.
+    pub(crate) fn blocks_mut(&mut self) -> &mut [TouchedBlock] {
+        &mut self.blocks
     }
 
     /// Call `f` on the bin range of every touched group in `blocks`, in
@@ -77,19 +125,17 @@ impl TouchedBins {
     #[inline]
     pub(crate) fn for_each_group(&self, blocks: Range<usize>, mut f: impl FnMut(Range<usize>)) {
         for s in blocks {
-            let mut summary = self.summary[s];
-            while summary != 0 {
-                let w = s * 64 + summary.trailing_zeros() as usize;
-                summary &= summary - 1;
-                let mut bits = self.groups[w];
-                while bits != 0 {
-                    let lo = (w * 64 + bits.trailing_zeros() as usize) * GROUP_BINS;
-                    f(lo..(lo + GROUP_BINS).min(self.n));
-                    bits &= bits - 1;
-                }
-            }
+            let bins = block_bins(self.n, s);
+            self.blocks[s]
+                .for_each_group(bins.len(), |g| f(bins.start + g.start..bins.start + g.end));
         }
     }
+}
+
+/// The bins of block (owner range) `s` of an `n`-bin space.
+#[inline]
+pub(crate) fn block_bins(n: usize, s: usize) -> Range<usize> {
+    s * BLOCK_BINS..((s + 1) * BLOCK_BINS).min(n)
 }
 
 /// Bins per load: `counts[i]` bins hold load `base + i`.
@@ -119,18 +165,19 @@ impl LoadHistogram {
         self.base
     }
 
-    /// Fold in one arena's load transitions: `lifts[i]` bins went from
+    /// Fold in one tally of load transitions: `lifts[i]` bins went from
     /// load `base + i` to `base + i + 1`. Call [`LoadHistogram::settle`]
-    /// once every arena of the round is folded in.
+    /// once every tally of the round is folded in.
     pub(crate) fn apply(&mut self, lifts: &[u32]) {
         if self.counts.len() <= lifts.len() {
             self.counts.resize(lifts.len() + 1, 0);
         }
         for (i, &c) in lifts.iter().enumerate() {
-            // Arenas commit concurrently, so one arena may lift a bin out
-            // of a load that another arena lifted it into: a partial fold
-            // can dip below zero. Wrapping keeps every entry exact modulo
-            // 2^32, and the round's full fold is a true count.
+            // A tally that lifts a bin out of a load another tally lifted
+            // it into makes a partial fold dip below zero. The engine's
+            // owner tallies each cover their own bins and never do, but
+            // wrapping keeps every entry exact modulo 2^32 in any fold
+            // order, and the round's full fold is a true count.
             self.counts[i] = self.counts[i].wrapping_sub(c);
             self.counts[i + 1] = self.counts[i + 1].wrapping_add(c);
         }
@@ -189,8 +236,8 @@ mod tests {
     fn touched_walk_is_ascending_and_clears() {
         let n = 3 * BLOCK_BINS + 17;
         let mut set = TouchedBins::new(n);
-        for b in [70_000u32, 5, 64, 63, (n - 1) as u32, 65_536, 5, 2] {
-            set.insert(b);
+        for b in [70_000usize, 5, 64, 63, n - 1, 65_536, 5, 2] {
+            set.blocks_mut()[b / BLOCK_BINS].insert(b % BLOCK_BINS);
         }
         let mut seen = Vec::new();
         set.for_each_group(0..set.blocks(), |g| seen.push(g));
@@ -211,8 +258,13 @@ mod tests {
         set.for_each_group(1..3, |g| mid.push(g.start));
         assert_eq!(mid, [65_536, 70_000]);
 
-        set.clear();
-        assert!(set.groups.iter().chain(&set.summary).all(|&w| w == 0));
+        for block in set.blocks_mut() {
+            block.clear();
+        }
+        assert!(set
+            .blocks
+            .iter()
+            .all(|b| b.words.iter().chain(&b.groups).all(|&m| m == 0)));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub(crate) struct ValidatorState {
     /// Total balls in the spec.
     m: u64,
     /// Loads at the start of the current round.
-    loads_before: Vec<u32>,
+    round_start_loads: Vec<u32>,
     /// Assignment at the start of the current round (empty when the run
     /// does not track assignment — the monotone-commitment checks are
     /// then skipped).
@@ -68,7 +68,7 @@ impl ValidatorState {
     pub(crate) fn new(m: u64) -> Self {
         Self {
             m,
-            loads_before: Vec::new(),
+            round_start_loads: Vec::new(),
             assignment_before: Vec::new(),
             placed_before: 0,
             active_before: 0,
@@ -84,8 +84,8 @@ impl ValidatorState {
         placed: u64,
         active: u64,
     ) {
-        self.loads_before.clear();
-        self.loads_before.extend_from_slice(loads);
+        self.round_start_loads.clear();
+        self.round_start_loads.extend_from_slice(loads);
         self.assignment_before.clear();
         if let Some(a) = assignment {
             self.assignment_before.extend_from_slice(a);
@@ -151,7 +151,7 @@ impl ValidatorState {
 
         // --- Load accounting + bin capacity + fault legality (one sweep).
         let mut delta_total = 0u64;
-        for (bin, (&after, &before)) in loads.iter().zip(&self.loads_before).enumerate() {
+        for (bin, (&after, &before)) in loads.iter().zip(&self.round_start_loads).enumerate() {
             if after < before {
                 return Err(violation(
                     round,
@@ -184,13 +184,13 @@ impl ValidatorState {
         if !may_redirect {
             for &bin in crashed {
                 let b = bin as usize;
-                if loads[b] != self.loads_before[b] {
+                if loads[b] != self.round_start_loads[b] {
                     return Err(violation(
                         round,
                         "fault-legality",
                         format!(
                             "crashed bin {bin} gained {} balls this round",
-                            loads[b] - self.loads_before[b]
+                            loads[b] - self.round_start_loads[b]
                         ),
                     ));
                 }
@@ -228,7 +228,7 @@ impl ValidatorState {
             for (bin, (&fresh, (&after, &before))) in self
                 .commit_counts
                 .iter()
-                .zip(loads.iter().zip(&self.loads_before))
+                .zip(loads.iter().zip(&self.round_start_loads))
                 .enumerate()
             {
                 let delta = after - before;

@@ -1,28 +1,21 @@
 //! Atomic views over plain integer slices, and sharded counters.
 //!
-//! The engine keeps bin loads and slot counters as plain `Vec<u32>` so the
-//! sequential executor pays no atomic cost; the parallel executor
-//! reinterprets the same storage as `&[AtomicU32]` for the duration of a
-//! round. This is sound because the integer and atomic types have identical
-//! layout and the caller holds the unique `&mut` borrow.
+//! The streaming allocator keeps its shard load arrays as plain
+//! `Vec<u64>` so a sequential batch pays no atomic cost; a parallel batch
+//! reinterprets the same storage as `&[AtomicU64]` while it runs. This is
+//! sound because the integer and atomic types have identical layout and
+//! the caller holds the unique `&mut` borrow.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-/// View a mutable `u32` slice as a slice of atomics.
-///
-/// Layout-compatible per the standard library's guarantee that
-/// `AtomicU32` has the same in-memory representation as `u32`.
-#[inline]
-pub fn as_atomic_u32(data: &mut [u32]) -> &[AtomicU32] {
-    // SAFETY: AtomicU32 has the same size and alignment as u32 and the
-    // exclusive borrow is handed off to the returned shared-atomic view.
-    unsafe { &*(data as *mut [u32] as *const [AtomicU32]) }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// View a mutable `u64` slice as a slice of atomics.
+///
+/// Layout-compatible per the standard library's guarantee that
+/// `AtomicU64` has the same in-memory representation as `u64`.
 #[inline]
 pub fn as_atomic_u64(data: &mut [u64]) -> &[AtomicU64] {
-    // SAFETY: as `as_atomic_u32`.
+    // SAFETY: AtomicU64 has the same size and alignment as u64 and the
+    // exclusive borrow is handed off to the returned shared-atomic view.
     unsafe { &*(data as *mut [u64] as *const [AtomicU64]) }
 }
 
@@ -140,23 +133,11 @@ mod tests {
     use crate::pool::ThreadPool;
 
     #[test]
-    fn atomic_u32_view_roundtrips() {
-        let mut v = vec![0u32; 100];
-        {
-            let a = as_atomic_u32(&mut v);
-            for (i, slot) in a.iter().enumerate() {
-                slot.store(i as u32, Ordering::Relaxed);
-            }
-        }
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i as u32));
-    }
-
-    #[test]
     fn atomic_view_concurrent_increments() {
         let pool = ThreadPool::new(4);
-        let mut v = vec![0u32; 13];
+        let mut v = vec![0u64; 13];
         {
-            let a = as_atomic_u32(&mut v);
+            let a = as_atomic_u64(&mut v);
             pool.run_indexed(130_000, |i| {
                 a[i % 13].fetch_add(1, Ordering::Relaxed);
             });

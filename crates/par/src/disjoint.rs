@@ -82,6 +82,26 @@ impl<'a, T> DisjointIndexMut<'a, T> {
         // guarantees no concurrent access to this slot.
         unsafe { &mut *self.ptr.add(index) }
     }
+
+    /// Mutable access to the slots in `range`.
+    ///
+    /// # Safety
+    ///
+    /// As [`DisjointIndexMut::index_mut`], for every index in `range`: no
+    /// concurrently running task may access any of them. Out-of-bounds
+    /// ranges are rejected in all builds.
+    #[inline]
+    #[allow(clippy::mut_from_ref)] // disjoint &mut from a shared handle, as above
+    pub unsafe fn slice_mut(&self, range: std::ops::Range<usize>) -> &mut [T] {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "DisjointIndexMut: range out of bounds"
+        );
+        // SAFETY: the range lies within the `len` initialized slots of a
+        // live `&mut` borrow (checked above), and the caller guarantees no
+        // concurrent access to any slot in it.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
+    }
 }
 
 /// Debug-build verifier for the "one task per item index" invariant behind
@@ -171,6 +191,28 @@ mod tests {
         for (i, &v) in data.iter().enumerate() {
             assert_eq!(v, i as u64 * 3);
         }
+    }
+
+    #[test]
+    fn disjoint_slices_land() {
+        let pool = ThreadPool::new(3);
+        let mut data = vec![0u32; 1000];
+        let view = DisjointIndexMut::new(&mut data);
+        pool.run_indexed(10, |i| {
+            // SAFETY: the ten ranges partition 0..1000.
+            let s = unsafe { view.slice_mut(i * 100..(i + 1) * 100) };
+            s.fill(i as u32);
+        });
+        assert!(data.iter().enumerate().all(|(j, &v)| v == (j / 100) as u32));
+    }
+
+    #[test]
+    #[should_panic(expected = "range out of bounds")]
+    fn out_of_bounds_slice_is_rejected() {
+        let mut data = vec![0u8; 4];
+        let view = DisjointIndexMut::new(&mut data);
+        // SAFETY: single-threaded access; the call must panic on bounds.
+        let _ = unsafe { view.slice_mut(2..5) };
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`DisjointIndexMut`] / [`DisjointClaims`] — the audited escape hatch
 //!   for per-slot disjoint writes from concurrent tasks, with a debug-build
 //!   one-task-per-index verifier.
-//! * [`atomic`] — zero-copy reinterpretation of `&mut [u32]` / `&mut [u64]`
-//!   as atomic slices, plus sharded counter merging.
+//! * [`atomic`] — zero-copy reinterpretation of `&mut [u64]` as an atomic
+//!   slice, plus sharded counter merging.
 //!
 //! ## Determinism
 //!
@@ -25,8 +25,8 @@
 //! the input length and chunk count — never from thread timing. A caller
 //! that writes chunk-local outputs therefore produces bit-identical results
 //! regardless of scheduling. Only explicitly atomic read-modify-write
-//! operations (e.g. slot claiming in the engine's parallel resolver) are
-//! order-dependent, and the engine documents where that matters.
+//! operations (e.g. the streaming allocator's shard load increments) are
+//! order-dependent, and their callers document where that matters.
 
 pub mod atomic;
 pub mod chunk;
@@ -36,7 +36,7 @@ pub mod pool;
 pub mod reduce;
 pub mod scan;
 
-pub use atomic::{as_atomic_u32, as_atomic_u64, CachePadded, ShardedCounters};
+pub use atomic::{as_atomic_u64, CachePadded, ShardedCounters};
 pub use chunk::{chunk_count, chunk_range, Chunking};
 pub use disjoint::{DisjointClaims, DisjointIndexMut};
 pub use iter::{for_each_chunk, par_chunks_mut, par_fill_with, par_map_indexed};

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use pba_cluster::ClusterConfig;
 use pba_conformance::{Claim, VerifyOptions, VerifyScale};
 use pba_core::metrics::{EngineMetrics, FanoutSink, MetricsSink, Phase};
-use pba_core::{ExecutorKind, ProblemSpec, RunConfig, Tuning};
+use pba_core::{ExecutorKind, ProblemSpec, RunConfig, RunOutcome, Tuning};
 use pba_protocols::{protocol_names, run_by_name};
 use pba_runner::json::{escape as json_escape, executor_str, u64_array, JsonObject};
 use pba_runner::{
@@ -362,12 +362,7 @@ fn run_protocol(args: &[String]) -> Result<(), String> {
     let report = metrics.report();
     println!("protocol:   {}", out.protocol);
     println!("spec:       {spec}");
-    println!("rounds:     {}", out.rounds);
-    println!(
-        "placed:     {} ({} unallocated)",
-        out.placed, out.unallocated
-    );
-    println!("max load:   {} (gap {})", stats.max(), out.gap());
+    print_outcome(&out);
     println!("load stats: {stats}");
     if let Some(plan) = &faults {
         println!("faults:     {}", describe_fault_plan(plan));
@@ -1266,6 +1261,21 @@ fn cluster_sink(
 }
 
 /// Per-shard wire accounting lines shared by both cluster sub-modes.
+/// The outcome lines `protocol` and `cluster protocol` share, which must
+/// match bit for bit across executors, shard counts and transports. The
+/// loads digest (FNV-1a over the final loads' little-endian bytes)
+/// catches what the summary lines miss, such as two bins swapping loads.
+fn print_outcome(out: &RunOutcome) {
+    let bytes: Vec<u8> = out.loads.iter().flat_map(|l| l.to_le_bytes()).collect();
+    println!("rounds:     {}", out.rounds);
+    println!(
+        "placed:     {} ({} unallocated)",
+        out.placed, out.unallocated
+    );
+    println!("max load:   {} (gap {})", out.load_stats().max(), out.gap());
+    println!("loads digest: {:#018x}", pba_core::wire::fnv1a(&bytes));
+}
+
 fn print_cluster_wire(out: &pba_cluster::ClusterOutcome) {
     println!(
         "wire:       {} frames, {} bytes over {} shard link(s)",
@@ -1382,7 +1392,6 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
         t.flush().map_err(|e| format!("trace flush: {e}"))?;
     }
     let run = out.run.as_ref().expect("engine outcome");
-    let stats = run.load_stats();
     println!(
         "protocol:   {} (cluster: {shards} shard(s) as {}{})",
         run.protocol,
@@ -1390,12 +1399,7 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
         if overlap { "" } else { ", no overlap" }
     );
     println!("spec:       {spec}");
-    println!("rounds:     {}", run.rounds);
-    println!(
-        "placed:     {} ({} unallocated)",
-        run.placed, run.unallocated
-    );
-    println!("max load:   {} (gap {})", stats.max(), run.gap());
+    print_outcome(run);
     if let Some(plan) = &faults {
         println!("faults:     {}", describe_fault_plan(plan));
     }

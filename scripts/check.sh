@@ -46,7 +46,7 @@ run scripts/bench_diff.sh --tier small --gate 60
 # reported. The test suite asserts the same thing from inside cargo;
 # this exercises the shipping binary spawning itself as `shard-worker`.
 PBA=target/release/pba-run
-outcome() { "$@" | grep -E '^(rounds|placed|max load|messages):'; }
+outcome() { "$@" | grep -E '^(rounds|placed|max load|loads digest|messages):'; }
 echo "==> cluster smoke: transport bit-identity matrix (seed 11)"
 want=$(outcome "$PBA" protocol collision --m 65536 --n 4096 --seed 11)
 for shards in 2 4; do
@@ -60,6 +60,20 @@ for shards in 2 4; do
             exit 1
         fi
     done
+done
+# Full-size bit-identity smoke: at m = n = 2^22 the round kernel routes
+# requests to 64 owner ranges over every lane, a scale no test reaches.
+# The pool must land on the sequential run's exact loads (the digest
+# line) and counters.
+for protocol in single-choice collision kd-choice; do
+    echo "==> full-size smoke: $protocol sequential vs --parallel (m = n = 2^22)"
+    want=$(outcome "$PBA" protocol "$protocol" --m 4194304 --n 4194304 --seed 11)
+    got=$(outcome "$PBA" protocol "$protocol" --m 4194304 --n 4194304 --seed 11 --parallel)
+    if [ "$got" != "$want" ]; then
+        echo "$protocol --parallel diverged from the sequential run:" >&2
+        diff <(echo "$want") <(echo "$got") >&2 || true
+        exit 1
+    fi
 done
 echo "==> cluster smoke: kill-a-shard chaos"
 # Capture to a file instead of piping into grep -q: quitting grep closes

@@ -2,11 +2,12 @@
 //! allocator.
 //!
 //! The engine's contract after the unified-executor refactor: once the
-//! per-lane scratch arenas and claim table are warm (round 0, plus one
-//! round of slack for capacity growth in `loads_before`/`next_active`),
-//! a parallel round performs **zero** heap allocations — gather, scan,
-//! grant and resolve all run in reused storage, and the pool's job slot
-//! dispatch is allocation-free. The streaming allocator is softer: a
+//! per-chunk and per-owner scratch arenas and the claim table are warm
+//! (round 0, plus one round of slack for capacity growth in the routing
+//! buffers and `next_active`), a parallel round performs **zero** heap
+//! allocations — gather, routing, the owner sweeps, grant and resolve
+//! all run in reused storage, and the pool's job slot dispatch is
+//! allocation-free. The streaming allocator is softer: a
 //! batch builds its placement and pair vectors fresh, but the count is
 //! small and bounded, and the resident map stops growing under steady
 //! churn.
@@ -88,6 +89,7 @@ impl MetricsSink for AllocSnapshots {
 #[test]
 fn parallel_rounds_and_stream_batches_stay_allocation_free() {
     engine_rounds_allocate_nothing_after_warmup();
+    owner_range_rounds_allocate_nothing_after_warmup();
     sparse_bookkeeping_rounds_allocate_nothing_after_warmup();
     stream_batches_allocate_a_bounded_amount();
     latency_histogram_record_path_allocates_nothing();
@@ -125,10 +127,44 @@ fn engine_rounds_allocate_nothing_after_warmup() {
     }
 }
 
+/// Owner-range half: the same collision run over n = 2·2¹⁶ + 17 bins, so
+/// every round routes its requests to three owner ranges (the last one
+/// partial) and four lanes' owner tasks. The per-chunk routing buffers,
+/// spill lists and per-owner tallies must reach their steady capacity in
+/// rounds 0 and 1.
+fn owner_range_rounds_allocate_nothing_after_warmup() {
+    let n = 2 * (1 << 16) + 17;
+    let spec = ProblemSpec::new(1 << 16, n).unwrap();
+    let sink = Arc::new(AllocSnapshots::new());
+    let cfg = RunConfig::seeded(7)
+        .with_executor(ExecutorKind::ParallelWith(4))
+        .with_tuning(Tuning::fixed(512, 1024))
+        .with_trace(false)
+        .with_metrics(sink.clone());
+    let out = Simulator::new(spec, cfg).run(Collision::new(spec)).unwrap();
+    assert_eq!(out.load_stats().total(), 1 << 16);
+
+    let snaps = sink.snaps.lock().unwrap();
+    assert!(
+        snaps.len() >= 3,
+        "need several rounds to observe a steady state, got {}",
+        snaps.len()
+    );
+    for r in 2..snaps.len() {
+        assert_eq!(
+            snaps[r],
+            snaps[r - 1],
+            "owner-range round {r} allocated {} time(s); steady-state \
+             rounds must not touch the heap",
+            snaps[r] - snaps[r - 1]
+        );
+    }
+}
+
 /// Sparse-bookkeeping half: estimated-average is multi-round, needs the
-/// commit choice (so the `loads_before` snapshot), and takes the
-/// `idle_want` path every round — the touched-bin bitmap, the load
-/// histogram and the per-arena load-transition tallies must all reach
+/// commit choice (so resolve reads round-start loads), and takes the
+/// `idle_want` path every round — the touched-bin marks, the load
+/// histogram and the per-owner load-transition tallies must all reach
 /// their steady capacity during warm-up. Sequential: on a pool, the
 /// round where fan-out collapses to one chunk grows chunk 0's request
 /// buffers once, which is arena sizing, not bookkeeping.
