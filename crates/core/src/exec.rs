@@ -71,24 +71,26 @@ pub const DEFAULT_MIN_CHUNK: usize = 16 * 1024;
 /// it the round runs serially (one chunk) regardless of backend.
 pub const DEFAULT_PAR_CUTOFF: usize = 64 * 1024;
 
-/// Measured per-chunk floor for the round kernel's auto plan: chunks
-/// smaller than this spend more on pool dispatch than on work. Fed by
-/// `pba-run tune` (see `tuning.json`): the 16 Ki floor beat 8 Ki by
-/// 10–15% at both the medium and large tiers in the shipped sweep.
+/// Per-chunk floor for the round kernel's auto plan: chunks smaller than
+/// this spend more on pool dispatch than on work. A fixed constant: a
+/// one-off sweep of the floor (single-choice on 4 lanes, one-core host)
+/// found 16 Ki 10–15% faster than 8 Ki at m = n = 2¹⁶ and 2²⁰.
 pub const AUTO_MIN_CHUNK_FLOOR: usize = 16 * 1024;
 
-/// Measured serial→parallel crossover of the round kernel: rounds with
-/// fewer active balls than this run serially under [`Tuning::Auto`]. Fed
-/// by `pba-run tune` (see `tuning.json`).
+/// Serial→parallel cutoff of the round kernel: rounds with fewer active
+/// balls than this run serially under [`Tuning::Auto`]. A fixed
+/// engineering default, equal to [`DEFAULT_PAR_CUTOFF`]; the one-off
+/// sweep behind [`AUTO_MIN_CHUNK_FLOOR`] ran on one core, where no
+/// crossover is real, so it was not used to move this value.
 pub const AUTO_PAR_CUTOFF: usize = 64 * 1024;
 
-/// Measured per-chunk floor for the streaming snapshot path (two probes
-/// per arrival — much lighter than a protocol round, so chunks can be
-/// smaller). Fed by `pba-run tune`.
+/// Per-chunk floor for the streaming snapshot path (two probes per
+/// arrival — much lighter than a protocol round, so chunks can be
+/// smaller). A fixed engineering default.
 pub const AUTO_INGEST_MIN_CHUNK: usize = 1024;
 
-/// Measured serial→parallel crossover for streaming batch ingestion.
-/// Fed by `pba-run tune`.
+/// Serial→parallel cutoff for streaming batch ingestion. A fixed
+/// engineering default, kept for the same reason as [`AUTO_PAR_CUTOFF`].
 pub const AUTO_INGEST_PAR_CUTOFF: usize = 8 * 1024;
 
 /// A fully resolved chunk-geometry plan for one pass of the round kernel
@@ -119,10 +121,9 @@ impl Default for ChunkPlan {
 /// The tuning surface of a run: how chunk geometry is chosen.
 ///
 /// [`Tuning::Auto`] (the default) resolves a [`ChunkPlan`] per
-/// workload from the shipped measured tables (`pba-run tune` refreshes
-/// them); [`Tuning::fixed`] pins an exact plan for experiments that
-/// sweep the geometry. Either way results are identical — tuning is
-/// scheduling only.
+/// workload from the fixed `AUTO_*` constants; [`Tuning::fixed`] pins
+/// an exact plan for experiments that sweep the geometry. Either way
+/// results are identical — tuning is scheduling only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tuning {
     /// Derive the plan from the measured auto tables per workload size

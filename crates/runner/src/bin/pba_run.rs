@@ -1,20 +1,7 @@
 //! `pba-run` — run the reproduction experiments and ad-hoc protocol
-//! simulations from the command line.
-//!
-//! ```text
-//! pba-run list
-//! pba-run all [--scale smoke|default|full] [--out DIR] [--trace F.jsonl]
-//! pba-run <experiment-id> [--scale ...] [--out DIR] [--trace F.jsonl]
-//! pba-run protocol <name> --m M --n N [--seed S] [--parallel] [--trace F.jsonl]
-//! pba-run protocols            # list protocol names
-//! pba-run stream [--policy P] [--n N] [--batch 8n] …   # streaming allocator
-//! pba-run serve --replay [--rate R] [--snapshot F] …   # replay service facade
-//! pba-run cluster protocol <name> --shards S …   # multi-process shards
-//! pba-run cluster stream --shards S [--kill S@B] …
-//! pba-run bench [--tier small|medium|large|xl] [--out DIR|FILE.json]
-//! pba-run tune [--tier ...] [--out DIR|FILE.json]     # autotune chunk geometry
-//! pba-run verify [CLAIM…] [--scale ci|full] [--json]  # statistical claim oracles
-//! ```
+//! simulations from the command line. `USAGE` lists every command;
+//! each command's flag table (a `Spec`) sits next to the function that
+//! runs it.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -24,10 +11,11 @@ use pba_conformance::{Claim, VerifyOptions, VerifyScale};
 use pba_core::metrics::{EngineMetrics, FanoutSink, MetricsSink, Phase};
 use pba_core::{ExecutorKind, ProblemSpec, RunConfig, RunOutcome, Tuning};
 use pba_protocols::{protocol_names, run_by_name};
+use pba_runner::flags::{suggest, Flag, Flags, Spec};
 use pba_runner::json::{escape as json_escape, executor_str, u64_array, JsonObject};
 use pba_runner::{
-    all_experiments, describe_fault_plan, experiment_by_id, parse_fault_spec, JsonlTrace,
-    RunOptions, Scale, Table,
+    all_experiments, describe_fault_plan, experiment_by_id, parse_fault_spec, Experiment,
+    JsonlTrace, RunOptions, Scale, Table,
 };
 use pba_stream::{
     replay, PolicyKind, ServiceConfig, StreamAllocator, WeightDist, Workload, WorkloadCfg,
@@ -64,7 +52,7 @@ const USAGE: &str = "usage:
                  [--rate BALLS_PER_SEC] [--queue DEPTH] [--checkpoint-every K]
                  [--snapshot-at K] [--snapshot FILE] [--restore FILE]
                  [--faults SPEC] [--trace FILE.jsonl]
-  pba-run serve --listen ADDR [--policy P] [--n N] [--shards S] [--seed S]
+  pba-run serve --listen ADDR [--policy P] [--n N] [--shards S] [--seed S] [--parallel]
                  (accept framed batches from one `serve --send` client)
   pba-run serve --send ADDR [--policy P] [--n N] [--batch B | Kn] [--batches K]
                  [--workload W] [--churn F] [--seed S]
@@ -77,18 +65,23 @@ const USAGE: &str = "usage:
                  [--no-overlap] [--faults SPEC] [--trace FILE.jsonl]
   pba-run shard-worker [--listen ADDR]   (internal: spawned per shard by
                  `cluster`; --listen serves one orchestrator over TCP/UDS)
-  pba-run bench [--tier small|medium|large|xl | --scale smoke|default|full]
-                [--out DIR|FILE.json]
-  pba-run tune [--tier small|medium|large|xl] [--out DIR|FILE.json]
+  pba-run bench [--tier smoke|small|medium|large|xl] [--out DIR|FILE.json]
   pba-run verify [CLAIM…] [--scale ci|full] [--json] [--faults SPEC]
 
 fault spec: comma-separated key=value clauses, e.g.
   --faults drop=0.1,crash=0.02,straggle=8x0.2,domains=8x0.3,kill=2x5,seed=7";
 
+/// `--trace FILE.jsonl`: stream every event of the run as JSON lines.
+const TRACE: &[Flag] = &[Flag::value("--trace")];
+
+/// `--faults SPEC`: inject the seeded fault plan (see `parse_fault_spec`).
+const FAULTS: &[Flag] = &[Flag::value("--faults")];
+
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let Some(cmd) = args.first() else {
         return Err("missing command".into());
     };
+    let rest = &args[1..];
     let done = |()| ExitCode::SUCCESS;
     match cmd.as_str() {
         "list" => {
@@ -107,29 +100,20 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             Ok(ExitCode::SUCCESS)
         }
-        "all" => {
-            let flags = RunFlags::parse(&args[1..])?;
-            let trace = flags.open_trace()?;
-            for e in all_experiments() {
-                run_experiment(e.as_ref(), &flags, trace.clone())?;
-            }
-            flush_trace(trace).map(done)
-        }
-        "protocol" => run_protocol(&args[1..]).map(done),
-        "stream" => run_stream_cmd(&args[1..]).map(done),
-        "serve" => run_serve(&args[1..]).map(done),
-        "cluster" => run_cluster(&args[1..]).map(done),
+        "all" => run_experiments(&ALL, all_experiments(), rest).map(done),
+        "protocol" => run_protocol(rest).map(done),
+        "stream" => run_stream_cmd(rest).map(done),
+        "serve" => run_serve(rest).map(done),
+        "cluster" => run_cluster(rest).map(done),
         // The child mode `cluster` spawns per shard. Errors go to stderr
         // without the usage banner: the orchestrator is the audience.
         "shard-worker" => {
-            let served = match args.get(1).map(String::as_str) {
-                None => pba_cluster::worker::serve_stdio(),
-                Some("--listen") => match args.get(2) {
-                    Some(addr) => pba_cluster::worker::serve_listen(addr),
-                    None => Err("--listen needs an address".into()),
-                },
-                Some(other) => Err(format!("unknown flag '{other}' (--listen ADDR)")),
-            };
+            let served = Flags::parse(&SHARD_WORKER, rest).and_then(|flags| {
+                match flags.opt::<String>("--listen")? {
+                    None => pba_cluster::worker::serve_stdio(),
+                    Some(addr) => pba_cluster::worker::serve_listen(&addr),
+                }
+            });
             match served {
                 Ok(()) => Ok(ExitCode::SUCCESS),
                 Err(detail) => {
@@ -138,25 +122,27 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 }
             }
         }
-        "bench" => run_bench(&args[1..]).map(done),
-        "tune" => run_tune(&args[1..]).map(done),
+        "bench" => run_bench(rest).map(done),
         // `verify` owns its exit code: a refuted claim is a nonzero exit
         // with the verdict table printed, not a usage error.
-        "verify" => run_verify(&args[1..]),
+        "verify" => run_verify(rest),
         id => {
             let e = experiment_by_id(id).ok_or_else(|| unknown_command_message(id))?;
-            let flags = RunFlags::parse(&args[1..])?;
-            let trace = flags.open_trace()?;
-            run_experiment(e.as_ref(), &flags, trace.clone())?;
-            flush_trace(trace).map(done)
+            run_experiments(&EXPERIMENT, vec![e], rest).map(done)
         }
     }
 }
 
+static SHARD_WORKER: Spec = Spec {
+    command: "shard-worker",
+    flags: &[&[Flag::value("--listen")]],
+    positionals: 0,
+};
+
 /// Error text for an unrecognized first argument: name the valid range
 /// and, when something known is close, suggest it.
 fn unknown_command_message(id: &str) -> String {
-    const COMMANDS: [&str; 11] = [
+    const COMMANDS: [&str; 10] = [
         "help",
         "list",
         "all",
@@ -166,111 +152,120 @@ fn unknown_command_message(id: &str) -> String {
         "serve",
         "cluster",
         "bench",
-        "tune",
         "verify",
     ];
-    let lowered = id.to_lowercase();
-    let best = all_experiments()
-        .iter()
-        .map(|e| e.id())
-        .chain(COMMANDS)
-        .map(|c| (edit_distance(&lowered, c), c))
-        .min()
-        .filter(|&(d, _)| d <= 2);
-    let hint = match best {
-        Some((_, c)) => format!("did you mean '{c}'? "),
-        None => String::new(),
-    };
+    let experiments = all_experiments();
+    let hint = suggest(id, experiments.iter().map(|e| e.id()).chain(COMMANDS));
     format!(
         "unknown experiment or command '{id}': {hint}valid experiment ids are \
          e01..e25 (see `pba-run list`)"
     )
 }
 
-/// Levenshtein distance, for the did-you-mean suggestion.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, &ca) in a.iter().enumerate() {
-        let mut cur = Vec::with_capacity(b.len() + 1);
-        cur.push(i + 1);
-        for (j, &cb) in b.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            cur.push((prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1));
-        }
-        prev = cur;
-    }
-    prev[b.len()]
+/// The sinks a run reports through: the [`EngineMetrics`] aggregator its
+/// summary reads, fanned out to the `--trace` JSONL file when one was
+/// asked for.
+struct RunSinks {
+    metrics: Arc<EngineMetrics>,
+    trace: Option<(String, Arc<JsonlTrace>)>,
 }
 
-/// Flags shared by the experiment-running commands.
-struct RunFlags {
-    scale: Scale,
-    out_dir: Option<String>,
-    trace_path: Option<String>,
-}
-
-impl RunFlags {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut flags = RunFlags {
-            scale: Scale::Default,
-            out_dir: None,
-            trace_path: None,
-        };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--scale" => {
-                    let v = it.next().ok_or("--scale needs a value")?;
-                    flags.scale = Scale::parse(v).ok_or_else(|| format!("bad scale '{v}'"))?;
-                }
-                "--out" => {
-                    flags.out_dir = Some(it.next().ok_or("--out needs a value")?.clone());
-                }
-                "--trace" => {
-                    flags.trace_path = Some(it.next().ok_or("--trace needs a value")?.clone());
-                }
-                other => return Err(format!("unknown flag '{other}'")),
+impl RunSinks {
+    /// Create the `--trace` file, if the command line names one.
+    fn open(flags: &Flags) -> Result<Self, String> {
+        let trace = match flags.opt::<String>("--trace")? {
+            None => None,
+            Some(path) => {
+                let t = JsonlTrace::create(&path).map_err(|e| format!("--trace {path}: {e}"))?;
+                Some((path, Arc::new(t)))
             }
-        }
-        Ok(flags)
+        };
+        Ok(RunSinks {
+            metrics: Arc::new(EngineMetrics::new()),
+            trace,
+        })
     }
 
-    /// Open the JSONL trace sink, when requested.
-    fn open_trace(&self) -> Result<Option<Arc<JsonlTrace>>, String> {
-        match &self.trace_path {
-            None => Ok(None),
-            Some(path) => JsonlTrace::create(path)
-                .map(|t| Some(Arc::new(t)))
-                .map_err(|e| format!("--trace {path}: {e}")),
+    /// The sink to attach to the run.
+    fn sink(&self) -> Arc<dyn MetricsSink> {
+        match &self.trace {
+            None => self.metrics.clone(),
+            Some((_, t)) => Arc::new(FanoutSink::new(vec![
+                self.metrics.clone() as Arc<dyn MetricsSink>,
+                t.clone() as Arc<dyn MetricsSink>,
+            ])),
+        }
+    }
+
+    /// Flush the trace file, if there is one.
+    fn flush(&self) -> Result<(), String> {
+        match &self.trace {
+            None => Ok(()),
+            Some((_, t)) => t.flush().map_err(|e| format!("trace flush: {e}")),
+        }
+    }
+
+    /// The closing `trace:` line of a run summary.
+    fn print_path(&self) {
+        if let Some((path, _)) = &self.trace {
+            println!("trace:      {path}");
         }
     }
 }
 
-fn flush_trace(trace: Option<Arc<JsonlTrace>>) -> Result<(), String> {
-    if let Some(t) = trace {
-        t.flush().map_err(|e| format!("trace flush: {e}"))?;
+const EXPERIMENT_FLAGS: &[&[Flag]] = &[&[Flag::value("--scale"), Flag::value("--out")], TRACE];
+
+static ALL: Spec = Spec {
+    command: "all",
+    flags: EXPERIMENT_FLAGS,
+    positionals: 0,
+};
+
+static EXPERIMENT: Spec = Spec {
+    command: "<experiment-id e01..e25>",
+    flags: EXPERIMENT_FLAGS,
+    positionals: 0,
+};
+
+/// `pba-run all` and `pba-run <experiment-id>`: run each experiment at
+/// `--scale`, print its report and, with `--out DIR`, write it there as
+/// markdown plus one CSV per table.
+fn run_experiments(
+    spec: &'static Spec,
+    experiments: Vec<Box<dyn Experiment>>,
+    args: &[String],
+) -> Result<(), String> {
+    let flags = Flags::parse(spec, args)?;
+    let scale = flags
+        .opt_with("--scale", |v| {
+            Scale::parse(v).ok_or_else(|| format!("bad --scale '{v}' (smoke, default or full)"))
+        })?
+        .unwrap_or(Scale::Default);
+    let out_dir = flags.opt::<String>("--out")?;
+    let sinks = RunSinks::open(&flags)?;
+    let mut opts = RunOptions::new();
+    if let Some((_, t)) = &sinks.trace {
+        opts = opts.with_metrics(t.clone());
     }
-    Ok(())
+    for e in experiments {
+        run_experiment(e.as_ref(), scale, out_dir.as_deref(), &opts)?;
+    }
+    sinks.flush()
 }
 
 fn run_experiment(
-    e: &dyn pba_runner::Experiment,
-    flags: &RunFlags,
-    trace: Option<Arc<JsonlTrace>>,
+    e: &dyn Experiment,
+    scale: Scale,
+    out_dir: Option<&str>,
+    opts: &RunOptions,
 ) -> Result<(), String> {
     eprintln!("running {} ({})…", e.id(), e.title());
     let started = std::time::Instant::now();
-    let mut opts = RunOptions::new();
-    if let Some(t) = trace {
-        opts = opts.with_metrics(t);
-    }
-    let report = e.run_with(flags.scale, &opts);
+    let report = e.run_with(scale, opts);
     eprintln!("  done in {:.1?}", started.elapsed());
     let md = report.to_markdown();
     println!("{md}");
-    if let Some(dir) = &flags.out_dir {
+    if let Some(dir) = out_dir {
         std::fs::create_dir_all(dir).map_err(|err| err.to_string())?;
         let path = format!("{dir}/{}.md", report.id);
         std::fs::write(&path, &md).map_err(|err| err.to_string())?;
@@ -282,84 +277,46 @@ fn run_experiment(
     Ok(())
 }
 
+static PROTOCOL: Spec = Spec {
+    command: "protocol",
+    flags: &[
+        &[
+            Flag::value("--m"),
+            Flag::value("--n"),
+            Flag::value("--seed"),
+            Flag::switch("--parallel"),
+        ],
+        TRACE,
+        FAULTS,
+    ],
+    positionals: 1,
+};
+
 fn run_protocol(args: &[String]) -> Result<(), String> {
-    let Some(name) = args.first() else {
+    let flags = Flags::parse(&PROTOCOL, args)?;
+    let Some(name) = flags.positionals().first() else {
         return Err("protocol: missing name".into());
     };
-    let mut m = 1u64 << 20;
-    let mut n = 1u32 << 10;
-    let mut seed = 0u64;
-    let mut parallel = false;
-    let mut trace_path: Option<String> = None;
-    let mut faults = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--faults" => {
-                faults = Some(parse_fault_spec(
-                    it.next().ok_or("--faults needs a value")?,
-                )?);
-            }
-            "--m" => {
-                m = it
-                    .next()
-                    .ok_or("--m needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --m")?
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --n")?
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --seed")?
-            }
-            "--parallel" => parallel = true,
-            "--trace" => {
-                trace_path = Some(it.next().ok_or("--trace needs a value")?.clone());
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    let spec = ProblemSpec::new(m, n).map_err(|e| e.to_string())?;
-    let mut cfg = RunConfig::seeded(seed);
-    if parallel {
+    let spec = ProblemSpec::new(flags.get("--m", 1u64 << 20)?, flags.get("--n", 1u32 << 10)?)
+        .map_err(|e| e.to_string())?;
+    let faults = flags.opt_with("--faults", parse_fault_spec)?;
+    let mut cfg = RunConfig::seeded(flags.get("--seed", 0)?);
+    if flags.switch("--parallel") {
         cfg = cfg.parallel();
     }
     if let Some(plan) = faults {
         cfg = cfg.with_faults(plan);
     }
-    let metrics = Arc::new(EngineMetrics::new());
-    let trace = match &trace_path {
-        None => None,
-        Some(path) => Some(Arc::new(
-            JsonlTrace::create(path).map_err(|e| format!("--trace {path}: {e}"))?,
-        )),
-    };
-    cfg = match &trace {
-        None => cfg.with_metrics(metrics.clone()),
-        Some(t) => cfg.with_metrics(Arc::new(FanoutSink::new(vec![
-            metrics.clone() as Arc<dyn MetricsSink>,
-            t.clone() as Arc<dyn MetricsSink>,
-        ]))),
-    };
+    let sinks = RunSinks::open(&flags)?;
+    cfg = cfg.with_metrics(sinks.sink());
     let started = std::time::Instant::now();
     let out = run_by_name(name, spec, cfg)
         .ok_or_else(|| format!("unknown protocol '{name}' (try `pba-run protocols`)"))?
         .map_err(|e| e.to_string())?;
     let elapsed = started.elapsed();
-    if let Some(t) = &trace {
-        t.flush().map_err(|e| format!("trace flush: {e}"))?;
-    }
+    sinks.flush()?;
     let stats = out.load_stats();
-    let report = metrics.report();
+    let report = sinks.metrics.report();
     println!("protocol:   {}", out.protocol);
     println!("spec:       {spec}");
     print_outcome(&out);
@@ -409,9 +366,7 @@ fn run_protocol(args: &[String]) -> Result<(), String> {
             std::time::Duration::from_nanos(pool.total_busy_nanos())
         );
     }
-    if let Some(path) = &trace_path {
-        println!("trace:      {path}");
-    }
+    sinks.print_path();
     Ok(())
 }
 
@@ -450,149 +405,140 @@ fn parse_workload_kind(name: &str) -> Result<WorkloadKind, String> {
             period: 8,
             factor: 4,
         }),
-        other => {
-            let lowered = other.to_lowercase();
-            let hint = WORKLOADS
-                .iter()
-                .map(|&w| (edit_distance(&lowered, w), w))
-                .min()
-                .filter(|&(d, _)| d <= 2)
-                .map(|(_, w)| format!("did you mean '{w}'? "))
-                .unwrap_or_default();
-            Err(format!(
-                "unknown workload '{other}' ({hint}choose from: {})",
-                WORKLOADS.join(", ")
-            ))
-        }
+        other => Err(format!(
+            "unknown workload '{other}' ({}choose from: {})",
+            suggest(other, WORKLOADS),
+            WORKLOADS.join(", ")
+        )),
     }
 }
+
+/// Parse a `--policy` name; an unknown one lists the choices.
+fn parse_policy(name: &str) -> Result<PolicyKind, String> {
+    PolicyKind::parse(name).ok_or_else(|| {
+        let names: Vec<&str> = PolicyKind::ALL.iter().map(|k| k.name()).collect();
+        format!(
+            "unknown policy '{name}' (choose from: {})",
+            names.join(", ")
+        )
+    })
+}
+
+/// The workload generator's flags, shared by `stream`, `serve --replay`,
+/// `serve --send` and `cluster stream`.
+const WORKLOAD: &[Flag] = &[
+    Flag::value("--policy"),
+    Flag::value("--n"),
+    Flag::value("--batch"),
+    Flag::value("--batches"),
+    Flag::value("--workload"),
+    Flag::value("--churn"),
+    Flag::value("--seed"),
+];
+
+/// The values of the [`WORKLOAD`] flags, checked.
+struct WorkloadFlags {
+    policy: PolicyKind,
+    n: u32,
+    /// `--batch` as given: an absolute count or a multiple of n.
+    batch_spec: String,
+    batches: u64,
+    workload: String,
+    churn: f64,
+    seed: u64,
+}
+
+impl WorkloadFlags {
+    fn parse(flags: &Flags) -> Result<Self, String> {
+        let w = WorkloadFlags {
+            policy: flags
+                .opt_with("--policy", parse_policy)?
+                .unwrap_or(PolicyKind::BatchedTwoChoice),
+            n: flags.get("--n", 1 << 10)?,
+            batch_spec: flags.get("--batch", "4n".to_string())?,
+            batches: flags.get("--batches", 32)?,
+            workload: flags.get("--workload", "uniform".to_string())?,
+            churn: flags.get("--churn", 0.0)?,
+            seed: flags.get("--seed", 0)?,
+        };
+        if w.n == 0 {
+            return Err("--n must be at least 1".into());
+        }
+        if w.batches == 0 {
+            return Err("--batches must be at least 1".into());
+        }
+        if !(0.0..=1.0).contains(&w.churn) {
+            return Err("--churn must be in [0, 1]".into());
+        }
+        Ok(w)
+    }
+
+    /// The generator config, with `--batch` resolved against `n` bins
+    /// (after `serve --restore`, the snapshot's bin count).
+    fn cfg(&self, n: u32) -> Result<WorkloadCfg, String> {
+        Ok(WorkloadCfg {
+            kind: parse_workload_kind(&self.workload)?,
+            batch: parse_batch_size(&self.batch_spec, n)?,
+            churn: self.churn,
+            weights: WeightDist::Constant(1),
+        })
+    }
+}
+
+/// Salt of the workload generator's seed, shared by `stream` and every
+/// `serve` mode so their traffic matches batch for batch; it keeps the
+/// workload draws off the placement streams.
+const TRAFFIC_SALT: u64 = 0x57AEA3;
+
+static STREAM: Spec = Spec {
+    command: "stream",
+    flags: &[
+        WORKLOAD,
+        &[Flag::value("--shards"), Flag::switch("--parallel")],
+        TRACE,
+        FAULTS,
+    ],
+    positionals: 0,
+};
 
 /// `pba-run stream` — drive a synthetic workload through a long-lived
 /// [`StreamAllocator`] and print a paper-style checkpoint table plus a
 /// throughput summary.
 fn run_stream_cmd(args: &[String]) -> Result<(), String> {
-    let mut policy = PolicyKind::BatchedTwoChoice;
-    let mut n: u32 = 1 << 10;
-    let mut batch_spec = "4n".to_string();
-    let mut batches: u64 = 32;
-    let mut workload = "uniform".to_string();
-    let mut churn = 0.0f64;
-    let mut shards: usize = 1;
-    let mut seed = 0u64;
-    let mut parallel = false;
-    let mut trace_path: Option<String> = None;
-    let mut faults = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--faults" => {
-                faults = Some(parse_fault_spec(
-                    it.next().ok_or("--faults needs a value")?,
-                )?);
-            }
-            "--policy" => {
-                let v = it.next().ok_or("--policy needs a value")?;
-                policy = PolicyKind::parse(v).ok_or_else(|| {
-                    let names: Vec<&str> = PolicyKind::ALL.iter().map(|k| k.name()).collect();
-                    format!("unknown policy '{v}' (choose from: {})", names.join(", "))
-                })?;
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --n")?;
-            }
-            "--batch" => batch_spec = it.next().ok_or("--batch needs a value")?.clone(),
-            "--batches" => {
-                batches = it
-                    .next()
-                    .ok_or("--batches needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --batches")?;
-            }
-            "--workload" => workload = it.next().ok_or("--workload needs a value")?.clone(),
-            "--churn" => {
-                churn = it
-                    .next()
-                    .ok_or("--churn needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --churn")?;
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --shards")?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --seed")?;
-            }
-            "--parallel" => parallel = true,
-            "--trace" => {
-                trace_path = Some(it.next().ok_or("--trace needs a value")?.clone());
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    if n == 0 {
-        return Err("--n must be at least 1".into());
-    }
-    if batches == 0 {
-        return Err("--batches must be at least 1".into());
-    }
-    if !(0.0..=1.0).contains(&churn) {
-        return Err("--churn must be in [0, 1]".into());
-    }
-    let b = parse_batch_size(&batch_spec, n)?;
-    let kind = parse_workload_kind(&workload)?;
-    let cfg = WorkloadCfg {
-        kind,
-        batch: b,
+    let flags = Flags::parse(&STREAM, args)?;
+    let w = WorkloadFlags::parse(&flags)?;
+    let shards: usize = flags.get("--shards", 1)?;
+    let parallel = flags.switch("--parallel");
+    let faults = flags.opt_with("--faults", parse_fault_spec)?;
+    let cfg = w.cfg(w.n)?;
+    let b = cfg.batch;
+    let WorkloadFlags {
+        policy,
+        n,
+        batch_spec,
+        batches,
+        workload,
         churn,
-        weights: WeightDist::Constant(1),
-    };
-
-    let metrics = Arc::new(EngineMetrics::new());
-    let trace = match &trace_path {
-        None => None,
-        Some(path) => Some(Arc::new(
-            JsonlTrace::create(path).map_err(|e| format!("--trace {path}: {e}"))?,
-        )),
-    };
-    let sink: Arc<dyn MetricsSink> = match &trace {
-        None => metrics.clone(),
-        Some(t) => Arc::new(FanoutSink::new(vec![
-            metrics.clone() as Arc<dyn MetricsSink>,
-            t.clone() as Arc<dyn MetricsSink>,
-        ])),
-    };
+        seed,
+    } = w;
+    let sinks = RunSinks::open(&flags)?;
     let mut alloc = StreamAllocator::new(n, seed, policy)
         .with_shards(shards)
-        .with_metrics(sink);
+        .with_metrics(sinks.sink());
     if parallel {
         alloc = alloc.parallel();
     }
     if let Some(plan) = faults {
         alloc = alloc.with_faults(plan);
     }
-    // Distinct salt keeps workload draws off the placement streams.
-    let mut traffic = Workload::new(cfg, seed ^ 0x57AEA3);
+    let mut traffic = Workload::new(cfg, seed ^ TRAFFIC_SALT);
 
     let started = std::time::Instant::now();
     let records: Vec<_> = (0..batches)
         .map(|_| alloc.ingest(&traffic.next_batch()).record)
         .collect();
     let elapsed = started.elapsed();
-    if let Some(t) = &trace {
-        t.flush().map_err(|e| format!("trace flush: {e}"))?;
-    }
+    sinks.flush()?;
 
     let mut table = Table::new(
         format!(
@@ -625,7 +571,7 @@ fn run_stream_cmd(args: &[String]) -> Result<(), String> {
     }
     println!("{}", table.to_markdown());
 
-    let report = metrics.report();
+    let report = sinks.metrics.report();
     let last = records.last().expect("batches >= 1");
     let mode = if parallel { ", parallel" } else { "" };
     println!("policy:     {} ({shards} shard(s){mode})", policy.name());
@@ -648,9 +594,7 @@ fn run_stream_cmd(args: &[String]) -> Result<(), String> {
         report.batches_per_sec(),
         report.stream_balls_per_sec()
     );
-    if let Some(path) = &trace_path {
-        println!("trace:      {path}");
-    }
+    sinks.print_path();
     Ok(())
 }
 
@@ -659,6 +603,28 @@ fn run_stream_cmd(args: &[String]) -> Result<(), String> {
 fn micros(nanos: u64) -> String {
     format!("{:.1}", nanos as f64 / 1e3)
 }
+
+static SERVE_REPLAY: Spec = Spec {
+    command: "serve --replay",
+    flags: &[
+        WORKLOAD,
+        &[
+            // The default mode, named so scripts can spell it out.
+            Flag::switch("--replay"),
+            Flag::value("--shards"),
+            Flag::switch("--parallel"),
+            Flag::value("--rate"),
+            Flag::value("--queue"),
+            Flag::value("--checkpoint-every"),
+            Flag::value("--snapshot-at"),
+            Flag::value("--snapshot"),
+            Flag::value("--restore"),
+        ],
+        TRACE,
+        FAULTS,
+    ],
+    positionals: 0,
+};
 
 /// `pba-run serve --replay` — the production facade: replay a synthetic
 /// workload through a long-lived [`pba_stream::ReplayService`] (worker
@@ -680,129 +646,18 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--send") {
         return run_serve_send(args);
     }
-    let mut policy = PolicyKind::BatchedTwoChoice;
-    let mut n: u32 = 1 << 10;
-    let mut batch_spec = "4n".to_string();
-    let mut batches: u64 = 32;
-    let mut workload = "uniform".to_string();
-    let mut churn = 0.0f64;
-    let mut shards: usize = 1;
-    let mut seed = 0u64;
-    let mut parallel = false;
-    let mut rate = 0.0f64;
-    let mut queue: usize = 4;
-    let mut checkpoint_every: u64 = 8;
-    let mut snapshot_at: Option<u64> = None;
-    let mut snapshot_path: Option<String> = None;
-    let mut restore_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut faults = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            // The only mode today; named so `serve` can grow ingestion
-            // modes later without breaking scripts.
-            "--replay" => {}
-            "--faults" => {
-                faults = Some(parse_fault_spec(
-                    it.next().ok_or("--faults needs a value")?,
-                )?);
-            }
-            "--policy" => {
-                let v = it.next().ok_or("--policy needs a value")?;
-                policy = PolicyKind::parse(v).ok_or_else(|| {
-                    let names: Vec<&str> = PolicyKind::ALL.iter().map(|k| k.name()).collect();
-                    format!("unknown policy '{v}' (choose from: {})", names.join(", "))
-                })?;
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --n")?;
-            }
-            "--batch" => batch_spec = it.next().ok_or("--batch needs a value")?.clone(),
-            "--batches" => {
-                batches = it
-                    .next()
-                    .ok_or("--batches needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --batches")?;
-            }
-            "--workload" => workload = it.next().ok_or("--workload needs a value")?.clone(),
-            "--churn" => {
-                churn = it
-                    .next()
-                    .ok_or("--churn needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --churn")?;
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --shards")?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --seed")?;
-            }
-            "--parallel" => parallel = true,
-            "--rate" => {
-                rate = it
-                    .next()
-                    .ok_or("--rate needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --rate")?;
-            }
-            "--queue" => {
-                queue = it
-                    .next()
-                    .ok_or("--queue needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --queue")?;
-            }
-            "--checkpoint-every" => {
-                checkpoint_every = it
-                    .next()
-                    .ok_or("--checkpoint-every needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --checkpoint-every")?;
-            }
-            "--snapshot-at" => {
-                snapshot_at = Some(
-                    it.next()
-                        .ok_or("--snapshot-at needs a value")?
-                        .parse()
-                        .map_err(|_| "bad --snapshot-at")?,
-                );
-            }
-            "--snapshot" => {
-                snapshot_path = Some(it.next().ok_or("--snapshot needs a value")?.clone());
-            }
-            "--restore" => {
-                restore_path = Some(it.next().ok_or("--restore needs a value")?.clone());
-            }
-            "--trace" => {
-                trace_path = Some(it.next().ok_or("--trace needs a value")?.clone());
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    if n == 0 {
-        return Err("--n must be at least 1".into());
-    }
-    if batches == 0 {
-        return Err("--batches must be at least 1".into());
-    }
-    if !(0.0..=1.0).contains(&churn) {
-        return Err("--churn must be in [0, 1]".into());
-    }
+    let flags = Flags::parse(&SERVE_REPLAY, args)?;
+    let w = WorkloadFlags::parse(&flags)?;
+    let shards: usize = flags.get("--shards", 1)?;
+    let parallel = flags.switch("--parallel");
+    let rate: f64 = flags.get("--rate", 0.0)?;
+    let queue: usize = flags.get("--queue", 4)?;
+    let checkpoint_every: u64 = flags.get("--checkpoint-every", 8)?;
+    let snapshot_at: Option<u64> = flags.opt("--snapshot-at")?;
+    let snapshot_path: Option<String> = flags.opt("--snapshot")?;
+    let restore_path: Option<String> = flags.opt("--restore")?;
+    let faults = flags.opt_with("--faults", parse_fault_spec)?;
+    let batches = w.batches;
     if !rate.is_finite() || rate < 0.0 {
         return Err("--rate must be a finite rate >= 0 (0 = unthrottled)".into());
     }
@@ -825,7 +680,10 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                 StreamAllocator::restore(&bytes).map_err(|e| format!("--restore {path}: {e}"))?;
             (alloc, bytes.len() as u64)
         }
-        None => (StreamAllocator::new(n, seed, policy).with_shards(shards), 0),
+        None => (
+            StreamAllocator::new(w.n, w.seed, w.policy).with_shards(shards),
+            0,
+        ),
     };
     // From here on the allocator is authoritative: on restore its meta
     // (bins, seed, policy, shards) comes from the snapshot, not the flags.
@@ -833,30 +691,16 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     let (n, seed, shards, policy_name) = (meta.bins, meta.seed, meta.shards, meta.policy);
     let start_batch = alloc.batches();
 
-    let b = parse_batch_size(&batch_spec, n)?;
-    let kind = parse_workload_kind(&workload)?;
-    let cfg = WorkloadCfg {
-        kind,
-        batch: b,
+    let cfg = w.cfg(n)?;
+    let b = cfg.batch;
+    let WorkloadFlags {
+        batch_spec,
+        workload,
         churn,
-        weights: WeightDist::Constant(1),
-    };
-
-    let metrics = Arc::new(EngineMetrics::new());
-    let trace = match &trace_path {
-        None => None,
-        Some(path) => Some(Arc::new(
-            JsonlTrace::create(path).map_err(|e| format!("--trace {path}: {e}"))?,
-        )),
-    };
-    let sink: Arc<dyn MetricsSink> = match &trace {
-        None => metrics.clone(),
-        Some(t) => Arc::new(FanoutSink::new(vec![
-            metrics.clone() as Arc<dyn MetricsSink>,
-            t.clone() as Arc<dyn MetricsSink>,
-        ])),
-    };
-    let mut alloc = alloc.with_metrics(sink);
+        ..
+    } = w;
+    let sinks = RunSinks::open(&flags)?;
+    let mut alloc = alloc.with_metrics(sinks.sink());
     if parallel {
         alloc = alloc.parallel();
     }
@@ -864,9 +708,9 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         alloc = alloc.with_faults(plan);
     }
 
-    // Same workload salt as `pba-run stream`; a restored session
-    // fast-forwards the deterministic generator past the ingested prefix.
-    let mut traffic = Workload::new(cfg, seed ^ 0x57AEA3);
+    // A restored session fast-forwards the deterministic generator past
+    // the ingested prefix.
+    let mut traffic = Workload::new(cfg, seed ^ TRAFFIC_SALT);
     for _ in 0..start_batch {
         traffic.next_batch();
     }
@@ -882,9 +726,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     let started = std::time::Instant::now();
     let (alloc, report) = replay(alloc, &mut traffic, batches, service_cfg);
     let elapsed = started.elapsed();
-    if let Some(t) = &trace {
-        t.flush().map_err(|e| format!("trace flush: {e}"))?;
-    }
+    sinks.flush()?;
 
     // `--snapshot FILE` writes the mid-replay capture when `--snapshot-at`
     // named one, the final state otherwise.
@@ -968,9 +810,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         "throughput: {:.0} balls/s through the service",
         report.balls as f64 / elapsed.as_secs_f64().max(1e-9)
     );
-    if let Some(path) = &trace_path {
-        println!("trace:      {path}");
-    }
+    sinks.print_path();
     Ok(())
 }
 
@@ -997,51 +837,34 @@ fn connect_ingest(addr: &str) -> Result<IngestHalves, String> {
     Ok((Box::new(r), Box::new(stream)))
 }
 
+static SERVE_LISTEN: Spec = Spec {
+    command: "serve --listen",
+    flags: &[&[
+        Flag::value("--listen"),
+        Flag::value("--policy"),
+        Flag::value("--n"),
+        Flag::value("--shards"),
+        Flag::value("--seed"),
+        Flag::switch("--parallel"),
+    ]],
+    positionals: 0,
+};
+
 /// `pba-run serve --listen ADDR` — real traffic for the allocator: bind a
 /// TCP or Unix-domain socket, accept one `serve --send` client, ingest
 /// its framed batches (binary wire codec, checksummed), and report the
 /// final state. The allocator ends bit-identical to an in-process run
 /// that ingested the same batches.
 fn run_serve_listen(args: &[String]) -> Result<(), String> {
-    let mut addr = String::new();
-    let mut policy = PolicyKind::BatchedTwoChoice;
-    let mut n: u32 = 1 << 10;
-    let mut shards: usize = 1;
-    let mut seed = 0u64;
-    let mut parallel = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--listen" => addr = it.next().ok_or("--listen needs an address")?.clone(),
-            "--policy" => {
-                let v = it.next().ok_or("--policy needs a value")?;
-                policy = PolicyKind::parse(v).ok_or_else(|| format!("unknown policy '{v}'"))?;
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --n")?;
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --shards")?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --seed")?;
-            }
-            "--parallel" => parallel = true,
-            other => return Err(format!("unknown flag '{other}' for serve --listen")),
-        }
-    }
+    let flags = Flags::parse(&SERVE_LISTEN, args)?;
+    let addr: String = flags.get("--listen", String::new())?;
+    let policy = flags
+        .opt_with("--policy", parse_policy)?
+        .unwrap_or(PolicyKind::BatchedTwoChoice);
+    let n: u32 = flags.get("--n", 1 << 10)?;
+    let shards: usize = flags.get("--shards", 1)?;
+    let seed: u64 = flags.get("--seed", 0)?;
+    let parallel = flags.switch("--parallel");
     if n == 0 {
         return Err("--n must be at least 1".into());
     }
@@ -1091,76 +914,31 @@ fn run_serve_listen(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+static SERVE_SEND: Spec = Spec {
+    command: "serve --send",
+    flags: &[&[Flag::value("--send")], WORKLOAD],
+    positionals: 0,
+};
+
 /// `pba-run serve --send ADDR` — the driver for `serve --listen`:
 /// generate the deterministic synthetic workload locally and ship it to
 /// the listening allocator as framed batches, verifying every ack.
 fn run_serve_send(args: &[String]) -> Result<(), String> {
-    let mut addr = String::new();
-    let mut policy = PolicyKind::BatchedTwoChoice;
-    let mut n: u32 = 1 << 10;
-    let mut batch_spec = "4n".to_string();
-    let mut batches: u64 = 32;
-    let mut workload = "uniform".to_string();
-    let mut churn = 0.0f64;
-    let mut seed = 0u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--send" => addr = it.next().ok_or("--send needs an address")?.clone(),
-            "--policy" => {
-                let v = it.next().ok_or("--policy needs a value")?;
-                policy = PolicyKind::parse(v).ok_or_else(|| format!("unknown policy '{v}'"))?;
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --n")?;
-            }
-            "--batch" => batch_spec = it.next().ok_or("--batch needs a value")?.clone(),
-            "--batches" => {
-                batches = it
-                    .next()
-                    .ok_or("--batches needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --batches")?;
-            }
-            "--workload" => workload = it.next().ok_or("--workload needs a value")?.clone(),
-            "--churn" => {
-                churn = it
-                    .next()
-                    .ok_or("--churn needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --churn")?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --seed")?;
-            }
-            other => return Err(format!("unknown flag '{other}' for serve --send")),
-        }
-    }
-    if n == 0 {
-        return Err("--n must be at least 1".into());
-    }
-    if !(0.0..=1.0).contains(&churn) {
-        return Err("--churn must be in [0, 1]".into());
-    }
-    let b = parse_batch_size(&batch_spec, n)?;
-    let kind = parse_workload_kind(&workload)?;
-    let cfg = WorkloadCfg {
-        kind,
-        batch: b,
-        churn,
-        weights: WeightDist::Constant(1),
-    };
-    // Same workload salt as `pba-run serve --replay`: a listen/send pair
-    // with these flags reproduces the local replay bit for bit.
-    let mut traffic = Workload::new(cfg, seed ^ 0x57AEA3);
+    let flags = Flags::parse(&SERVE_SEND, args)?;
+    let addr: String = flags.get("--send", String::new())?;
+    let w = WorkloadFlags::parse(&flags)?;
+    let cfg = w.cfg(w.n)?;
+    let b = cfg.batch;
+    let WorkloadFlags {
+        policy,
+        n,
+        batches,
+        seed,
+        ..
+    } = w;
+    // With the same flags, a listen/send pair reproduces the local replay
+    // bit for bit.
+    let mut traffic = Workload::new(cfg, seed ^ TRAFFIC_SALT);
     let hello = pba_stream::IngestFrame::Hello {
         n,
         seed,
@@ -1215,6 +993,23 @@ enum ClusterTransport {
 }
 
 impl ClusterTransport {
+    /// The transport `--local`, `--socket` or `--connect A1,A2,…` picks
+    /// (the last one given wins); child processes over pipes otherwise.
+    fn from_flags(flags: &Flags) -> Self {
+        match flags.last_of(&["--local", "--socket", "--connect"]) {
+            None => ClusterTransport::Process,
+            Some(("--local", _)) => ClusterTransport::Local,
+            Some(("--socket", _)) => ClusterTransport::Socket,
+            Some((_, addrs)) => ClusterTransport::Connect(
+                addrs
+                    .expect("--connect takes a value")
+                    .split(',')
+                    .map(str::to_owned)
+                    .collect(),
+            ),
+        }
+    }
+
     fn describe(&self) -> &'static str {
         match self {
             ClusterTransport::Process => "processes",
@@ -1245,22 +1040,6 @@ fn parse_kill(v: &str) -> Result<(u32, u64), String> {
     Ok((shard, batch))
 }
 
-/// The metrics sink for a cluster run: the aggregator, fanned out to the
-/// JSONL trace when one was requested.
-fn cluster_sink(
-    metrics: &Arc<EngineMetrics>,
-    trace: &Option<Arc<JsonlTrace>>,
-) -> Arc<dyn MetricsSink> {
-    match trace {
-        None => metrics.clone(),
-        Some(t) => Arc::new(FanoutSink::new(vec![
-            metrics.clone() as Arc<dyn MetricsSink>,
-            t.clone() as Arc<dyn MetricsSink>,
-        ])),
-    }
-}
-
-/// Per-shard wire accounting lines shared by both cluster sub-modes.
 /// The outcome lines `protocol` and `cluster protocol` share, which must
 /// match bit for bit across executors, shard counts and transports. The
 /// loads digest (FNV-1a over the final loads' little-endian bytes)
@@ -1276,6 +1055,7 @@ fn print_outcome(out: &RunOutcome) {
     println!("loads digest: {:#018x}", pba_core::wire::fnv1a(&bytes));
 }
 
+/// Per-shard wire accounting lines shared by both cluster sub-modes.
 fn print_cluster_wire(out: &pba_cluster::ClusterOutcome) {
     println!(
         "wire:       {} frames, {} bytes over {} shard link(s)",
@@ -1300,97 +1080,62 @@ fn print_cluster_wire(out: &pba_cluster::ClusterOutcome) {
     }
 }
 
+/// The transport and sharding flags of both cluster sub-modes.
+const CLUSTER: &[Flag] = &[
+    Flag::value("--shards"),
+    Flag::switch("--local"),
+    Flag::switch("--socket"),
+    Flag::value("--connect"),
+    Flag::switch("--no-overlap"),
+];
+
+static CLUSTER_PROTOCOL: Spec = Spec {
+    command: "cluster protocol",
+    flags: &[
+        &[
+            Flag::value("--m"),
+            Flag::value("--n"),
+            Flag::value("--seed"),
+        ],
+        CLUSTER,
+        TRACE,
+        FAULTS,
+    ],
+    positionals: 1,
+};
+
 fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
-    let Some(name) = args.first() else {
+    let flags = Flags::parse(&CLUSTER_PROTOCOL, args)?;
+    let Some(name) = flags.positionals().first() else {
         return Err("cluster protocol: missing name".into());
     };
-    let mut m = 1u64 << 20;
-    let mut n = 1u32 << 10;
-    let mut seed = 0u64;
-    let mut shards = 2u32;
-    let mut transport = ClusterTransport::Process;
-    let mut overlap = true;
-    let mut trace_path: Option<String> = None;
-    let mut faults = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--faults" => {
-                faults = Some(parse_fault_spec(
-                    it.next().ok_or("--faults needs a value")?,
-                )?);
-            }
-            "--m" => {
-                m = it
-                    .next()
-                    .ok_or("--m needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --m")?
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --n")?
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --seed")?
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --shards")?
-            }
-            "--local" => transport = ClusterTransport::Local,
-            "--socket" => transport = ClusterTransport::Socket,
-            "--connect" => {
-                let addrs = it.next().ok_or("--connect needs addresses")?;
-                transport =
-                    ClusterTransport::Connect(addrs.split(',').map(str::to_owned).collect());
-            }
-            "--no-overlap" => overlap = false,
-            "--trace" => {
-                trace_path = Some(it.next().ok_or("--trace needs a value")?.clone());
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
+    let n: u32 = flags.get("--n", 1 << 10)?;
+    let spec = ProblemSpec::new(flags.get("--m", 1u64 << 20)?, n).map_err(|e| e.to_string())?;
     if !protocol_names().contains(&name.as_str()) {
         return Err(format!(
             "unknown protocol '{name}' (try `pba-run protocols`)"
         ));
     }
+    let shards: u32 = flags.get("--shards", 2)?;
     if shards == 0 || shards > n {
         return Err(format!("--shards must be in 1..={n} (the bin count)"));
     }
-    let spec = ProblemSpec::new(m, n).map_err(|e| e.to_string())?;
-    let metrics = Arc::new(EngineMetrics::new());
-    let trace = match &trace_path {
-        None => None,
-        Some(path) => Some(Arc::new(
-            JsonlTrace::create(path).map_err(|e| format!("--trace {path}: {e}"))?,
-        )),
-    };
+    let faults = flags.opt_with("--faults", parse_fault_spec)?;
+    let transport = ClusterTransport::from_flags(&flags);
+    let overlap = !flags.switch("--no-overlap");
+    let seed: u64 = flags.get("--seed", 0)?;
+    let sinks = RunSinks::open(&flags)?;
     let mut cfg = ClusterConfig::engine(name, spec, seed)
         .with_shards(shards)
         .with_overlap(overlap)
-        .with_metrics(cluster_sink(&metrics, &trace));
+        .with_metrics(sinks.sink());
     if let Some(plan) = faults {
         cfg = cfg.with_faults(plan);
     }
     let started = std::time::Instant::now();
     let out = transport.run(cfg)?;
     let elapsed = started.elapsed();
-    if let Some(t) = &trace {
-        t.flush().map_err(|e| format!("trace flush: {e}"))?;
-    }
+    sinks.flush()?;
     let run = out.run.as_ref().expect("engine outcome");
     println!(
         "protocol:   {} (cluster: {shards} shard(s) as {}{})",
@@ -1412,127 +1157,44 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
     );
     print_cluster_wire(&out);
     println!("wall time:  {elapsed:.2?}");
-    if let Some(path) = &trace_path {
-        println!("trace:      {path}");
-    }
+    sinks.print_path();
     Ok(())
 }
 
+static CLUSTER_STREAM: Spec = Spec {
+    command: "cluster stream",
+    flags: &[WORKLOAD, &[Flag::value("--kill")], CLUSTER, TRACE, FAULTS],
+    positionals: 0,
+};
+
 fn run_cluster_stream(args: &[String]) -> Result<(), String> {
-    let mut policy = PolicyKind::BatchedTwoChoice;
-    let mut n: u32 = 1 << 10;
-    let mut batch_spec = "4n".to_string();
-    let mut batches: u64 = 32;
-    let mut workload = "uniform".to_string();
-    let mut churn = 0.0f64;
-    let mut shards = 2u32;
-    let mut seed = 0u64;
-    let mut kill: Option<(u32, u64)> = None;
-    let mut transport = ClusterTransport::Process;
-    let mut overlap = true;
-    let mut trace_path: Option<String> = None;
-    let mut faults = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--faults" => {
-                faults = Some(parse_fault_spec(
-                    it.next().ok_or("--faults needs a value")?,
-                )?);
-            }
-            "--policy" => {
-                let v = it.next().ok_or("--policy needs a value")?;
-                policy = PolicyKind::parse(v).ok_or_else(|| {
-                    let names: Vec<&str> = PolicyKind::ALL.iter().map(|k| k.name()).collect();
-                    format!("unknown policy '{v}' (choose from: {})", names.join(", "))
-                })?;
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --n")?;
-            }
-            "--batch" => batch_spec = it.next().ok_or("--batch needs a value")?.clone(),
-            "--batches" => {
-                batches = it
-                    .next()
-                    .ok_or("--batches needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --batches")?;
-            }
-            "--workload" => workload = it.next().ok_or("--workload needs a value")?.clone(),
-            "--churn" => {
-                churn = it
-                    .next()
-                    .ok_or("--churn needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --churn")?;
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --shards")?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --seed")?;
-            }
-            "--kill" => {
-                kill = Some(parse_kill(it.next().ok_or("--kill needs a value")?)?);
-            }
-            "--local" => transport = ClusterTransport::Local,
-            "--socket" => transport = ClusterTransport::Socket,
-            "--connect" => {
-                let addrs = it.next().ok_or("--connect needs addresses")?;
-                transport =
-                    ClusterTransport::Connect(addrs.split(',').map(str::to_owned).collect());
-            }
-            "--no-overlap" => overlap = false,
-            "--trace" => {
-                trace_path = Some(it.next().ok_or("--trace needs a value")?.clone());
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
+    let flags = Flags::parse(&CLUSTER_STREAM, args)?;
+    let w = WorkloadFlags::parse(&flags)?;
+    let shards: u32 = flags.get("--shards", 2)?;
+    if shards == 0 || shards > w.n {
+        return Err(format!("--shards must be in 1..={} (the bin count)", w.n));
     }
-    if n == 0 {
-        return Err("--n must be at least 1".into());
-    }
-    if batches == 0 {
-        return Err("--batches must be at least 1".into());
-    }
-    if !(0.0..=1.0).contains(&churn) {
-        return Err("--churn must be in [0, 1]".into());
-    }
-    if shards == 0 || shards > n {
-        return Err(format!("--shards must be in 1..={n} (the bin count)"));
-    }
-    let b = parse_batch_size(&batch_spec, n)?;
-    let kind = parse_workload_kind(&workload)?;
-    let cfg = WorkloadCfg {
-        kind,
-        batch: b,
+    let kill = flags.opt_with("--kill", parse_kill)?;
+    let faults = flags.opt_with("--faults", parse_fault_spec)?;
+    let transport = ClusterTransport::from_flags(&flags);
+    let overlap = !flags.switch("--no-overlap");
+    let cfg = w.cfg(w.n)?;
+    let b = cfg.batch;
+    let WorkloadFlags {
+        policy,
+        n,
+        batches,
+        workload,
         churn,
-        weights: WeightDist::Constant(1),
-    };
-    let metrics = Arc::new(EngineMetrics::new());
-    let trace = match &trace_path {
-        None => None,
-        Some(path) => Some(Arc::new(
-            JsonlTrace::create(path).map_err(|e| format!("--trace {path}: {e}"))?,
-        )),
-    };
+        seed,
+        ..
+    } = w;
+    let sinks = RunSinks::open(&flags)?;
     let mut cluster = ClusterConfig::stream(policy, n, seed, batches, b)
         .with_workload(cfg)
         .with_shards(shards)
         .with_overlap(overlap)
-        .with_metrics(cluster_sink(&metrics, &trace));
+        .with_metrics(sinks.sink());
     if let Some(plan) = faults {
         cluster = cluster.with_faults(plan);
     }
@@ -1542,9 +1204,7 @@ fn run_cluster_stream(args: &[String]) -> Result<(), String> {
     let started = std::time::Instant::now();
     let out = transport.run(cluster)?;
     let elapsed = started.elapsed();
-    if let Some(t) = &trace {
-        t.flush().map_err(|e| format!("trace flush: {e}"))?;
-    }
+    sinks.flush()?;
     let resident: u64 = out.loads.iter().sum();
     let max_load = out.loads.iter().copied().max().unwrap_or(0);
     println!(
@@ -1569,9 +1229,7 @@ fn run_cluster_stream(args: &[String]) -> Result<(), String> {
     );
     print_cluster_wire(&out);
     println!("wall time:  {elapsed:.2?}");
-    if let Some(path) = &trace_path {
-        println!("trace:      {path}");
-    }
+    sinks.print_path();
     Ok(())
 }
 
@@ -1633,37 +1291,24 @@ fn lane_sweep_tier(name: &'static str, n: u32, reps: u64) -> BenchTier {
     }
 }
 
-/// The named bench/tune tiers, in size order.
-const TIER_NAMES: [&str; 4] = ["small", "medium", "large", "xl"];
+/// The named bench tiers, in size order.
+const TIER_NAMES: [&str; 5] = ["smoke", "small", "medium", "large", "xl"];
 
 fn bench_tier(tier: &str) -> Result<BenchTier, String> {
     Ok(match tier {
+        "smoke" => small_shaped_tier("smoke", 1 << 8, 2),
         "small" => small_shaped_tier("small", 1 << 10, 5),
         "medium" => lane_sweep_tier("medium", 1 << 16, 3),
         "large" => lane_sweep_tier("large", 1 << 20, 2),
         "xl" => lane_sweep_tier("xl", 1 << 24, 1),
-        other => return Err(unknown_tier_message(other)),
+        other => {
+            return Err(format!(
+                "unknown tier '{other}': {}choose from: {}",
+                suggest(other, TIER_NAMES),
+                TIER_NAMES.join(", ")
+            ))
+        }
     })
-}
-
-/// Error text for an unrecognized `--tier` value: list the tiers and,
-/// when something known is close, suggest it — same treatment experiment
-/// ids and verify claims get.
-fn unknown_tier_message(tier: &str) -> String {
-    let lowered = tier.to_lowercase();
-    let best = TIER_NAMES
-        .iter()
-        .map(|t| (edit_distance(&lowered, t), *t))
-        .min()
-        .filter(|&(d, _)| d <= 2);
-    let hint = match best {
-        Some((_, t)) => format!("did you mean '{t}'? "),
-        None => String::new(),
-    };
-    format!(
-        "unknown tier '{tier}': {hint}choose from: {}",
-        TIER_NAMES.join(", ")
-    )
 }
 
 /// Lanes an executor actually runs with (reported in every bench row).
@@ -1701,6 +1346,12 @@ fn resolve_out_path(out: Option<&str>, default_name: &str) -> Result<String, Str
     }
 }
 
+static BENCH: Spec = Spec {
+    command: "bench",
+    flags: &[&[Flag::value("--tier"), Flag::value("--out")]],
+    positionals: 0,
+};
+
 /// Criterion-free self-timing benchmark of the protocol registry at one
 /// tier: each tier's protocol subset at `m = n` across its executor
 /// sweep, `reps` seeds each, measured by the engine's own
@@ -1709,40 +1360,11 @@ fn resolve_out_path(out: Option<&str>, default_name: &str) -> Result<String, Str
 /// carries the actual lane count and the resolved tuning, and the doc is
 /// written to `BENCH_<tier>.json`.
 fn run_bench(args: &[String]) -> Result<(), String> {
-    let mut tier_name: Option<String> = None;
-    let mut scale: Option<Scale> = None;
-    let mut out_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tier" => {
-                tier_name = Some(it.next().ok_or("--tier needs a value")?.clone());
-            }
-            "--scale" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                scale = Some(Scale::parse(v).ok_or_else(|| format!("bad scale '{v}'"))?);
-            }
-            "--out" => out_dir = Some(it.next().ok_or("--out needs a value")?.clone()),
-            "--trace" => return Err("bench does not take --trace".into()),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    if tier_name.is_some() && scale.is_some() {
-        return Err("bench takes --tier or --scale, not both".into());
-    }
-    // `--scale` is the legacy spelling of the small-shaped tiers (smoke
-    // and full keep their historical sizes); `--tier` adds the lane-sweep
-    // campaign sizes. The default is the small tier — the committed
-    // BENCH_small.json baseline and the CI throughput gate.
-    let tier = match (tier_name.as_deref(), scale) {
-        (Some(t), None) => bench_tier(t)?,
-        (None, Some(Scale::Smoke)) => {
-            small_shaped_tier("smoke", 1 << 8, Scale::Smoke.reps() as u64)
-        }
-        (None, Some(Scale::Full)) => small_shaped_tier("full", 1 << 12, Scale::Full.reps() as u64),
-        (None, _) => small_shaped_tier("small", 1 << 10, Scale::Default.reps() as u64),
-        (Some(_), Some(_)) => unreachable!("rejected above"),
-    };
+    let flags = Flags::parse(&BENCH, args)?;
+    // The default is the small tier: the committed BENCH_small.json
+    // baseline and the CI throughput gate.
+    let tier = bench_tier(&flags.get("--tier", "small".to_string())?)?;
+    let out_dir = flags.opt::<String>("--out")?;
 
     let n = tier.n;
     let reps = tier.reps;
@@ -2045,312 +1667,41 @@ fn run_bench(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Measure one registry protocol's throughput (balls/s) at `m = n` with
-/// a pinned executor and tuning, aggregated over `reps` seeded runs.
-fn tune_point(
-    name: &str,
-    n: u32,
-    executor: ExecutorKind,
-    tuning: Tuning,
-    reps: u64,
-) -> Result<f64, String> {
-    let spec = ProblemSpec::new(n as u64, n).map_err(|e| e.to_string())?;
-    let metrics = Arc::new(EngineMetrics::new());
-    for rep in 0..reps {
-        let cfg = RunConfig::seeded(95_000 + rep)
-            .with_executor(executor)
-            .with_tuning(tuning)
-            .with_trace(false)
-            .with_metrics(metrics.clone());
-        run_by_name(name, spec, cfg)
-            .expect("registry name")
-            .map_err(|e| format!("{name}: {e}"))?;
-    }
-    Ok(metrics.report().balls_per_sec())
-}
-
-/// Measure streaming ingest throughput (balls/s) for one batch size.
-fn tune_ingest_point(n: u32, b: u64, parallel: bool, tuning: Tuning, reps: u64) -> f64 {
-    let metrics = Arc::new(EngineMetrics::new());
-    for rep in 0..reps {
-        let mut alloc = StreamAllocator::new(n, 96_000 + rep, PolicyKind::BatchedTwoChoice)
-            .with_shards(4)
-            .with_tuning(tuning)
-            .with_metrics(metrics.clone());
-        if parallel {
-            alloc = alloc.parallel();
-        }
-        let mut traffic = Workload::new(WorkloadCfg::uniform(b), 97_000 + rep);
-        for _ in 0..4 {
-            alloc.ingest(&traffic.next_batch());
-        }
-    }
-    metrics.report().stream_balls_per_sec()
-}
-
-/// `pba-run tune` — sweep the chunk-geometry knobs at one tier and write
-/// `tuning.json`: the measurements that feed the shipped `Tuning::Auto`
-/// tables (`AUTO_*` constants in `pba_core::exec`). Three sweeps:
-///
-/// 1. **min_chunk** — parallel(4) single-choice at the tier size with the
-///    fan-out forced, across per-chunk floors; the best floor is the
-///    `AUTO_MIN_CHUNK_FLOOR` candidate.
-/// 2. **crossover** — sequential vs parallel(4) across geometric problem
-///    sizes up to the tier size; the smallest size where parallel wins is
-///    the `AUTO_PAR_CUTOFF` candidate (absent on hardware where parallel
-///    never wins — single-core runners — in which case the shipped
-///    default is kept and reported as such).
-/// 3. **ingest** — the same two sweeps for the streaming snapshot path.
-fn run_tune(args: &[String]) -> Result<(), String> {
-    let mut tier_name = "medium".to_string();
-    let mut out_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tier" => tier_name = it.next().ok_or("--tier needs a value")?.clone(),
-            "--out" => out_dir = Some(it.next().ok_or("--out needs a value")?.clone()),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    let tier = bench_tier(&tier_name)?;
-    let n = tier.n;
-    let reps = tier.reps.max(2);
-    let par4 = ExecutorKind::ParallelWith(4);
-
-    // --- Sweep 1: per-chunk floor at the tier size, fan-out forced.
-    eprintln!("tune: min_chunk sweep at m = n = {n} ({tier_name} tier)…");
-    println!("{:<14} {:>14}", "min_chunk", "par(4) balls/s");
-    let mut mc_rows = Vec::new();
-    let mut best_mc = (pba_core::exec::AUTO_MIN_CHUNK_FLOOR, 0.0f64);
-    for mc in [1usize << 10, 1 << 12, 1 << 13, 1 << 14, 1 << 16] {
-        if mc > n as usize {
-            continue;
-        }
-        let bps = tune_point("single-choice", n, par4, Tuning::fixed(mc, 1), reps)?;
-        println!("{:<14} {:>14.0}", mc, bps);
-        if bps > best_mc.1 {
-            best_mc = (mc, bps);
-        }
-        mc_rows.push(
-            JsonObject::new()
-                .u64("min_chunk", mc as u64)
-                .f64("balls_per_sec", bps)
-                .finish(),
-        );
-    }
-
-    // --- Sweep 2: serial→parallel crossover over geometric sizes.
-    eprintln!("tune: crossover sweep (sequential vs parallel(4))…");
-    println!();
-    println!(
-        "{:<12} {:>14} {:>14} {:>8}",
-        "work", "seq balls/s", "par(4) balls/s", "winner"
-    );
-    let mut cross_rows = Vec::new();
-    let mut crossover: Option<u64> = None;
-    let mut w = 1u32 << 12;
-    loop {
-        let seq = tune_point(
-            "single-choice",
-            w,
-            ExecutorKind::Sequential,
-            Tuning::Auto,
-            reps,
-        )?;
-        let par = tune_point(
-            "single-choice",
-            w,
-            par4,
-            Tuning::fixed(best_mc.0.min(w as usize), 1),
-            reps,
-        )?;
-        let winner = if par > seq { "parallel" } else { "serial" };
-        if par > seq && crossover.is_none() {
-            crossover = Some(w as u64);
-        }
-        println!("{:<12} {:>14.0} {:>14.0} {:>8}", w, seq, par, winner);
-        cross_rows.push(
-            JsonObject::new()
-                .u64("work", w as u64)
-                .f64("seq_balls_per_sec", seq)
-                .f64("par_balls_per_sec", par)
-                .str("winner", winner)
-                .finish(),
-        );
-        if w >= n {
-            break;
-        }
-        w = (w << 2).min(n);
-    }
-
-    // --- Sweep 3: ingest crossover + floor for the streaming path.
-    let ingest_n = n.min(1 << 12);
-    eprintln!("tune: ingest sweep at n = {ingest_n} (batched-two-choice)…");
-    println!();
-    println!(
-        "{:<12} {:>14} {:>14} {:>8}",
-        "batch", "seq balls/s", "par balls/s", "winner"
-    );
-    let mut ingest_rows = Vec::new();
-    let mut ingest_crossover: Option<u64> = None;
-    for b in [1u64 << 11, 1 << 13, 1 << 15, 1 << 17] {
-        let seq = tune_ingest_point(ingest_n, b, false, Tuning::Auto, reps);
-        let par = tune_ingest_point(
-            ingest_n,
-            b,
-            true,
-            Tuning::fixed(pba_core::exec::AUTO_INGEST_MIN_CHUNK, 1),
-            reps,
-        );
-        let winner = if par > seq { "parallel" } else { "serial" };
-        if par > seq && ingest_crossover.is_none() {
-            ingest_crossover = Some(b);
-        }
-        println!("{:<12} {:>14.0} {:>14.0} {:>8}", b, seq, par, winner);
-        ingest_rows.push(
-            JsonObject::new()
-                .u64("batch", b)
-                .f64("seq_balls_per_sec", seq)
-                .f64("par_balls_per_sec", par)
-                .str("winner", winner)
-                .finish(),
-        );
-    }
-
-    // Shipped constants, and what this box's measurements suggest. A null
-    // crossover means parallel never won (expected on single-core
-    // runners): the shipped cutoff is kept rather than disabling fan-out
-    // for the hardware the binary was tuned on elsewhere.
-    let suggested_cutoff = crossover.unwrap_or(pba_core::exec::AUTO_PAR_CUTOFF as u64);
-    let suggested_ingest_cutoff =
-        ingest_crossover.unwrap_or(pba_core::exec::AUTO_INGEST_PAR_CUTOFF as u64);
-    println!();
-    println!(
-        "suggested: min_chunk_floor {} (measured best), par_cutoff {} ({}), \
-         ingest_par_cutoff {} ({})",
-        best_mc.0,
-        suggested_cutoff,
-        if crossover.is_some() {
-            "measured crossover"
-        } else {
-            "no crossover measured; shipped default kept"
-        },
-        suggested_ingest_cutoff,
-        if ingest_crossover.is_some() {
-            "measured crossover"
-        } else {
-            "no crossover measured; shipped default kept"
-        },
-    );
-
-    let doc = JsonObject::new()
-        .str("tool", "pba-run tune")
-        .str("tier", tier.name)
-        .u64("n", n as u64)
-        .u64("reps", reps)
-        .raw("min_chunk_sweep", &format!("[{}]", mc_rows.join(",")))
-        .u64("best_min_chunk", best_mc.0 as u64)
-        .raw("crossover_sweep", &format!("[{}]", cross_rows.join(",")))
-        .raw(
-            "measured_par_crossover",
-            &crossover.map_or("null".into(), |c| c.to_string()),
-        )
-        .raw("ingest_sweep", &format!("[{}]", ingest_rows.join(",")))
-        .raw(
-            "measured_ingest_crossover",
-            &ingest_crossover.map_or("null".into(), |c| c.to_string()),
-        )
-        .raw(
-            "suggested",
-            &JsonObject::new()
-                .u64("min_chunk_floor", best_mc.0 as u64)
-                .u64("par_cutoff", suggested_cutoff)
-                .u64(
-                    "ingest_min_chunk",
-                    pba_core::exec::AUTO_INGEST_MIN_CHUNK as u64,
-                )
-                .u64("ingest_par_cutoff", suggested_ingest_cutoff)
-                .finish(),
-        )
-        .raw(
-            "shipped",
-            &JsonObject::new()
-                .u64(
-                    "min_chunk_floor",
-                    pba_core::exec::AUTO_MIN_CHUNK_FLOOR as u64,
-                )
-                .u64("par_cutoff", pba_core::exec::AUTO_PAR_CUTOFF as u64)
-                .u64(
-                    "ingest_min_chunk",
-                    pba_core::exec::AUTO_INGEST_MIN_CHUNK as u64,
-                )
-                .u64(
-                    "ingest_par_cutoff",
-                    pba_core::exec::AUTO_INGEST_PAR_CUTOFF as u64,
-                )
-                .finish(),
-        )
-        .finish();
-    let path = resolve_out_path(out_dir.as_deref(), "tuning.json")?;
-    std::fs::write(&path, format!("{doc}\n")).map_err(|e| e.to_string())?;
-    eprintln!("wrote {path}");
-    Ok(())
-}
-
-/// Error text for an unrecognized claim id: list the registry and, when
-/// something known is close, suggest it — same treatment experiment ids
-/// get in [`unknown_command_message`].
-fn unknown_claim_message(id: &str) -> String {
-    let ids = pba_conformance::claim_ids();
-    let lowered = id.to_lowercase();
-    let best = ids
-        .iter()
-        .map(|c| (edit_distance(&lowered, c), *c))
-        .min()
-        .filter(|&(d, _)| d <= 2);
-    let hint = match best {
-        Some((_, c)) => format!("did you mean '{c}'? "),
-        None => String::new(),
-    };
-    format!(
-        "unknown claim '{id}': {hint}registered oracles are {}",
-        ids.join(", ")
-    )
-}
+static VERIFY: Spec = Spec {
+    command: "verify",
+    flags: &[&[Flag::value("--scale"), Flag::switch("--json")], FAULTS],
+    positionals: usize::MAX,
+};
 
 /// `pba-run verify` — run the statistical claim oracles from
 /// `pba-conformance` and render a paper-style verdict table. Exits
 /// nonzero when any claim is REFUTED, so CI catches a miswired engine;
 /// `--faults` deliberately miswires every run (the negative control).
 fn run_verify(args: &[String]) -> Result<ExitCode, String> {
-    let mut scale = VerifyScale::Ci;
-    let mut json = false;
-    let mut faults = None;
-    let mut requested: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                scale = VerifyScale::parse(v)
-                    .ok_or_else(|| format!("bad verify scale '{v}' (ci or full)"))?;
-            }
-            "--json" => json = true,
-            "--faults" => {
-                faults = Some(parse_fault_spec(
-                    it.next().ok_or("--faults needs a value")?,
-                )?);
-            }
-            other if other.starts_with('-') => return Err(format!("unknown flag '{other}'")),
-            claim => requested.push(claim.to_string()),
-        }
-    }
-    let claims: Vec<Box<dyn Claim>> = if requested.is_empty() {
+    let flags = Flags::parse(&VERIFY, args)?;
+    let scale = flags
+        .opt_with("--scale", |v| {
+            VerifyScale::parse(v).ok_or_else(|| format!("bad --scale '{v}' (ci or full)"))
+        })?
+        .unwrap_or(VerifyScale::Ci);
+    let json = flags.switch("--json");
+    let faults = flags.opt_with("--faults", parse_fault_spec)?;
+    let claims: Vec<Box<dyn Claim>> = if flags.positionals().is_empty() {
         pba_conformance::all_claims()
     } else {
-        requested
+        let ids = pba_conformance::claim_ids();
+        flags
+            .positionals()
             .iter()
-            .map(|id| pba_conformance::claim_by_id(id).ok_or_else(|| unknown_claim_message(id)))
+            .map(|id| {
+                pba_conformance::claim_by_id(id).ok_or_else(|| {
+                    format!(
+                        "unknown claim '{id}': {}registered oracles are {}",
+                        suggest(id, ids.iter().copied()),
+                        ids.join(", ")
+                    )
+                })
+            })
             .collect::<Result<_, _>>()?
     };
     let opts = VerifyOptions {
@@ -2465,4 +1816,61 @@ fn phase_names_json() -> String {
         .map(|p| format!("\"{}\"", p.name()))
         .collect();
     format!("[{}]", names.join(","))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The usage lines of `command`: its `pba-run …` line and the
+    /// indented continuation lines under it.
+    fn usage_of(command: &str) -> String {
+        let head = format!("  pba-run {command}");
+        let mut lines = USAGE.lines().skip_while(|l| {
+            l.strip_prefix(&head)
+                .is_none_or(|rest| !rest.is_empty() && !rest.starts_with(' '))
+        });
+        let first = lines.next().expect("every command has a usage line");
+        std::iter::once(first)
+            .chain(lines.take_while(|l| l.starts_with("   ")))
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    /// Whether `text` names `flag` as a whole word, so that `--batch`
+    /// does not match `--batches`.
+    fn names(text: &str, flag: &str) -> bool {
+        text.match_indices(flag).any(|(i, _)| {
+            !text[i + flag.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '-')
+        })
+    }
+
+    #[test]
+    fn usage_lists_every_flag_each_command_accepts() {
+        let specs = [
+            &ALL,
+            &EXPERIMENT,
+            &PROTOCOL,
+            &STREAM,
+            &SERVE_REPLAY,
+            &SERVE_LISTEN,
+            &SERVE_SEND,
+            &CLUSTER_PROTOCOL,
+            &CLUSTER_STREAM,
+            &SHARD_WORKER,
+            &BENCH,
+            &VERIFY,
+        ];
+        for spec in specs {
+            let usage = usage_of(spec.command);
+            for flag in spec.all_flags() {
+                assert!(
+                    names(&usage, flag.name),
+                    "the usage of {} omits {}:\n{usage}",
+                    spec.command,
+                    flag.name
+                );
+            }
+        }
+    }
 }

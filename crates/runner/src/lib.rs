@@ -22,6 +22,7 @@
 pub mod experiment;
 pub mod experiments;
 pub mod faultspec;
+pub mod flags;
 pub mod json;
 pub mod replicate;
 pub mod table;

@@ -17,6 +17,7 @@ run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings \
     -D unsafe_op_in_unsafe_fn -D clippy::undocumented-unsafe-blocks
 run cargo build --release
+PBA=target/release/pba-run
 run cargo test -q --workspace
 run cargo test -q --test chaos --test golden_loads
 # The benchmark package is its own workspace; its tiny self-test checks
@@ -29,12 +30,11 @@ run cargo test -q --manifest-path perfbench/Cargo.toml
 run cargo test -q --test fuzz_differential
 # Statistical conformance oracles at CI scale: exits nonzero if any
 # paper claim flips to REFUTED (see EXPERIMENTS.md "Oracle" column).
-run cargo run --release -q -p pba-runner --bin pba-run -- verify --scale ci
+run "$PBA" verify --scale ci
 # The two protocol-family oracles once more through the claim-subset
 # path (distinct argument-parsing surface from the run-everything call
 # above; their negative controls live in verify_cli.rs).
-run cargo run --release -q -p pba-runner --bin pba-run -- \
-    verify e24-kd-load e25-retries --scale ci
+run "$PBA" verify e24-kd-load e25-retries --scale ci
 # Throughput gate: fresh small-tier bench vs the committed baseline.
 # The 60% allowance is deliberately loose — shared single-core runners
 # are noisy — so only order-of-magnitude regressions trip it. Medium+
@@ -45,7 +45,6 @@ run scripts/bench_diff.sh --tier small --gate 60
 # and a kill-a-shard chaos run must survive with the dead shard
 # reported. The test suite asserts the same thing from inside cargo;
 # this exercises the shipping binary spawning itself as `shard-worker`.
-PBA=target/release/pba-run
 outcome() { "$@" | grep -E '^(rounds|placed|max load|loads digest|messages):'; }
 echo "==> cluster smoke: transport bit-identity matrix (seed 11)"
 want=$(outcome "$PBA" protocol collision --m 65536 --n 4096 --seed 11)
